@@ -43,6 +43,8 @@ class QuboProblem:
         q = np.asarray(self.q, dtype=np.float64)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise ValueError("Q must be a square matrix with n >= 1")
+        if not np.isfinite(q).all():
+            raise ValueError("Q has non-finite entries")
         if not np.array_equal(q, q.T):
             raise ValueError("Q must be symmetric")
         self.q = q
@@ -97,6 +99,8 @@ class WeightMatrix:
         n = self.graph.n
         if theta.shape != (n, n):
             raise ValueError("weight matrix shape does not match graph")
+        if not np.isfinite(theta).all():
+            raise ValueError("weight matrix has non-finite entries")
         if not np.array_equal(theta, theta.T):
             raise ValueError("weight matrix must be symmetric")
         off_support = (self.graph.adjacency_mask == 0) & (theta != 0.0)
@@ -211,14 +215,25 @@ def objective(problem: QuboProblem, z: np.ndarray) -> float:
     return float(zf @ problem.q @ zf)
 
 
+def energies(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Annealer cost of every row of the (m, n) spin array ``Z``.
+
+    ``weights`` is the raw symmetric (n, n) array with biases on the
+    diagonal; each edge is counted once. This is the one energy kernel:
+    ``energy``, ``estimate_argmin`` and exhaustive enumeration all rank
+    states with it, so their float ties agree.
+    """
+    zf = np.asarray(Z, dtype=np.float64)
+    upper = np.triu(weights, k=1)
+    return zf @ np.diagonal(weights) + ((zf @ upper) * zf).sum(axis=1)
+
+
 def energy(theta: WeightMatrix, z: np.ndarray) -> float:
     """Evaluate the annealer cost: sum of biases plus one term per edge."""
     z = np.asarray(z)
     if z.shape != (theta.n,):
         raise ValueError(f"spin vector has length {z.size}, weights expect {theta.n}")
-    zf = z.astype(np.float64)
-    upper = np.triu(theta.theta, k=1)
-    return float(theta.biases @ zf + zf @ upper @ zf)
+    return float(energies(theta.theta, z[None, :])[0])
 
 
 def _tabu_term(z: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 
@@ -48,6 +49,8 @@ def parse_qubo_file(text: str) -> QuboProblem:
             value = float(tokens[2])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed entry") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value {tokens[2]!r}")
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"line {lineno}: index out of range for n={n}")
         if i > j:

@@ -15,7 +15,8 @@ from .samplers import (
     RandomSampler,
     RemoteSampler,
     SaSchedule,
-    _spin_block,
+    enumerate_minima,
+    spins_at,
 )
 from .solver import solve
 from .topology import chimera_graph, complete_graph, load_edge_list
@@ -59,25 +60,9 @@ def brute_force_min(problem: QuboProblem) -> tuple[np.ndarray, float]:
     # Over spins the diagonal of Q is a constant, so ranking states only needs
     # the doubled off-diagonal part.
     doubled = 2.0 * (problem.q - np.diag(np.diagonal(problem.q)))
-    total = 1 << n
-    step = min(total, 1 << 18)
-    best_val = np.inf
-    best_index = 0
-    for start in range(0, total, step):
-        block = _spin_block(n, start, min(start + step, total))
-        vals = _block_energies_no_bias(doubled, block)
-        local = int(np.argmin(vals))
-        if vals[local] < best_val:
-            best_val = vals[local]
-            best_index = start + local
-    z = _spin_block(n, best_index, best_index + 1)[0]
+    indices, _ = enumerate_minima(doubled)
+    z = spins_at(n, indices[:1])[0]
     return z, objective(problem, z)
-
-
-def _block_energies_no_bias(sym: np.ndarray, block: np.ndarray) -> np.ndarray:
-    zf = block.astype(np.float64)
-    upper = np.triu(sym, k=1)
-    return ((zf @ upper) * zf).sum(axis=1)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from .core import SPIN_DTYPE, WeightMatrix, energy
+from .core import SPIN_DTYPE, WeightMatrix, energies
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18  # states per enumeration block: 2**18
@@ -44,22 +44,39 @@ class Sampler(Protocol):
         ...
 
 
-def _spin_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start..stop`` of the lexicographic enumeration of {-1,+1}^n.
+def spins_at(n: int, indices: np.ndarray) -> np.ndarray:
+    """Spin rows of {-1,+1}^n at the given lexicographic state indices.
 
     Index 0 is the all -1 vector and indices increase in lexicographic
     order with -1 < +1 (bit n-1-i of the index drives component i).
     """
-    idx = np.arange(start, stop, dtype=np.int64)[:, None]
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (idx >> shifts) & 1
+    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1
     return (2 * bits - 1).astype(SPIN_DTYPE)
 
 
-def _block_energies(theta: WeightMatrix, block: np.ndarray) -> np.ndarray:
-    zf = block.astype(np.float64)
-    upper = np.triu(theta.theta, k=1)
-    return zf @ theta.biases + ((zf @ upper) * zf).sum(axis=1)
+def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scan all 2^n states of a raw weight array in blocks of 2**_BLOCK_BITS.
+
+    Returns the lexicographic indices of every state at the minimum energy,
+    in increasing order, together with that minimum. Ties are decided by
+    exact float equality under ``energies``, so the first index is the
+    lexicographically first minimizer. Memory is one block plus 8 bytes per
+    minimizer. Callers pass finite weights and enforce ``ENUMERATION_LIMIT``.
+    """
+    n = weights.shape[0]
+    total = 1 << n
+    step = min(total, 1 << _BLOCK_BITS)
+    best = np.inf
+    found = []
+    for start in range(0, total, step):
+        e = energies(weights, spins_at(n, np.arange(start, min(start + step, total))))
+        block_min = e.min()
+        if block_min < best:
+            best, found = block_min, []
+        if block_min == best:
+            found.append(start + np.flatnonzero(e == best))
+    return np.concatenate(found), float(best)
 
 
 def _check_enumerable(n: int):
@@ -76,73 +93,21 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     Returns the minimizers as rows in lexicographic order together with the
     minimum energy. Only valid up to the enumeration limit.
     """
-    n = theta.n
-    _check_enumerable(n)
-    total = 1 << n
-    step = min(total, 1 << _BLOCK_BITS)
-    best = np.inf
-    rows = []
-    for start in range(0, total, step):
-        block = _spin_block(n, start, min(start + step, total))
-        e = _block_energies(theta, block)
-        block_min = e.min()
-        if block_min < best:
-            best = block_min
-            rows = [block[e == block_min]]
-        elif block_min == best:
-            rows.append(block[e == best])
-    return np.concatenate(rows, axis=0), float(best)
+    _check_enumerable(theta.n)
+    indices, emin = enumerate_minima(theta.theta)
+    return spins_at(theta.n, indices), emin
 
 
 def exact_sample(theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
     """Return k states drawn uniformly from the exact minimizer set.
 
-    Enumerates all 2^n states in blocks; memory stays bounded even when the
-    landscape is massively degenerate.
+    Holds one enumeration block plus 8 bytes per minimizer.
     """
-    n = theta.n
-    _check_enumerable(n)
+    _check_enumerable(theta.n)
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = 1 << n
-    step = min(total, 1 << _BLOCK_BITS)
-
-    if total == step:
-        block = _spin_block(n, 0, total)
-        e = _block_energies(theta, block)
-        minima = np.flatnonzero(e == e.min())
-        return block[minima[rng.integers(0, minima.size, size=k)]]
-
-    # pass 1: global minimum and per-block minima
-    block_minima = []
-    best = np.inf
-    for start in range(0, total, step):
-        e = _block_energies(theta, _spin_block(n, start, min(start + step, total)))
-        block_minima.append(e.min())
-        best = min(best, block_minima[-1])
-
-    # pass 2: count minimizers per block that can contain any
-    counts = []
-    for b, start in enumerate(range(0, total, step)):
-        if block_minima[b] > best:
-            counts.append(0)
-            continue
-        e = _block_energies(theta, _spin_block(n, start, min(start + step, total)))
-        counts.append(int((e == best).sum()))
-    cumulative = np.cumsum([0] + counts)
-    num_min = int(cumulative[-1])
-
-    # pass 3: map uniform ordinals back to states
-    ordinals = rng.integers(0, num_min, size=k)
-    out = np.empty((k, n), dtype=SPIN_DTYPE)
-    for which, ordinal in enumerate(ordinals):
-        b = int(np.searchsorted(cumulative, ordinal, side="right")) - 1
-        start = b * step
-        block = _spin_block(n, start, min(start + step, total))
-        e = _block_energies(theta, block)
-        local = np.flatnonzero(e == best)[ordinal - cumulative[b]]
-        out[which] = block[local]
-    return out
+    indices, _ = enumerate_minima(theta.theta)
+    return spins_at(theta.n, indices[rng.integers(0, indices.size, size=k)])
 
 
 @dataclass
@@ -255,10 +220,13 @@ def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:
 def estimate_argmin(
     sampler: Sampler, theta: WeightMatrix, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw k samples and keep the lowest-energy one (first on ties)."""
+    """Draw k samples and keep the lowest-energy one.
+
+    All k samples are scored with one ``energies`` call; ties are decided by
+    exact float equality and the first tied row wins.
+    """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
-    energies = [energy(theta, s) for s in samples]
-    return samples[int(np.argmin(energies))]
+    return samples[int(np.argmin(energies(theta.theta, samples)))]
 
 
 @dataclass
@@ -358,7 +326,7 @@ class RemoteSampler:
         try:
             payload = r.json()
             samples = np.asarray(payload["samples"], dtype=np.int64)
-            energies = [float(e) for e in payload["energies"]]
+            reported = [float(e) for e in payload["energies"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad sample payload: {exc}") from exc
         if samples.ndim != 2 or samples.shape[1] != n:
@@ -366,10 +334,10 @@ class RemoteSampler:
                 f"service returned vectors of length "
                 f"{samples.shape[1] if samples.ndim == 2 else '?'}, expected {n}"
             )
-        if samples.shape[0] != k or len(energies) != samples.shape[0]:
+        if samples.shape[0] != k or len(reported) != samples.shape[0]:
             raise MalformedResponseError(
                 f"service returned {samples.shape[0]} samples and "
-                f"{len(energies)} energies for {k} reads"
+                f"{len(reported)} energies for {k} reads"
             )
         if not np.all(np.abs(samples) == 1):
             raise MalformedResponseError("service returned entries other than -1/+1")

@@ -88,6 +88,17 @@ def test_bad_instance_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command", [["solve", "--sampler", "sa"], ["solve", "--sampler", "exact"], ["oracle"]]
+)
+def test_non_finite_instance_exits_one(tmp_path, capsys, value, command):
+    path = tmp_path / "bad.qubo"
+    path.write_text(f"qubo 2\n0 1 {value}\n")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert "line 2: non-finite value" in capsys.readouterr().err
+
+
 def test_unknown_sampler_exits_one(pair_file, capsys):
     assert main(["solve", pair_file, "--sampler", "quantum"]) == 1
     capsys.readouterr()

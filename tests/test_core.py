@@ -310,6 +310,15 @@ def test_qubo_problem_requires_symmetry():
         QuboProblem(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_coefficients_rejected(bad):
+    q = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        QuboProblem(q)
+    with pytest.raises(ValueError, match="non-finite"):
+        WeightMatrix(q, complete_graph(2))
+
+
 def test_spin_validation():
     with pytest.raises(ValueError):
         as_spins(np.array([1, 0, -1]))

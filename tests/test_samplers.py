@@ -87,20 +87,35 @@ def test_exact_sample_never_above_enumerated_minimum():
 
 
 def test_exact_sample_chunked_matches_single_block():
-    # force the multi-block path and compare against the one-shot minimum
+    # force the multi-block path and compare against the one-shot results
     import qals.samplers as sam
+    from qals import QuboProblem, brute_force_min
 
     rng = np.random.default_rng(4)
     w = random_weights(rng, complete_graph(8), integer=True)
     _, emin = exact_minimizers(w)
+    # zero biases and couplings in {-2, 0, 2}: z and -z tie, in different blocks
+    a = rng.integers(-1, 2, size=(8, 8)).astype(float)
+    ties = a + a.T
+    np.fill_diagonal(ties, 0.0)
+    w_ties = weights(ties, complete_graph(8))
+    problem = QuboProblem(ties)
+    one_block = [exact_sample(v, 6, np.random.default_rng(2)) for v in (w, w_ties)]
+    z_one_block, f_one_block = brute_force_min(problem)
     old = sam._BLOCK_BITS
     sam._BLOCK_BITS = 5  # blocks of 32 states
     try:
-        samples = exact_sample(w, 6, np.random.default_rng(2))
+        chunked = [exact_sample(v, 6, np.random.default_rng(2)) for v in (w, w_ties)]
+        z_chunked, f_chunked = brute_force_min(problem)
     finally:
         sam._BLOCK_BITS = old
-    for s in samples:
+    for s in chunked[0]:
         assert energy(w, s) == emin
+    assert len({tuple(s) for s in chunked[1]}) > 1
+    for a_rows, b_rows in zip(one_block, chunked):
+        np.testing.assert_array_equal(a_rows, b_rows)
+    np.testing.assert_array_equal(z_one_block, z_chunked)
+    assert f_one_block == f_chunked
 
 
 def test_exact_sample_capacity_guard():
@@ -180,15 +195,16 @@ def test_metropolis_flat_landscape_is_uniform():
 def test_metropolis_matches_boltzmann_at_fixed_temperature():
     # the single correctness anchor for the chain: empirical distribution of
     # long constant-temperature runs against the exact Gibbs weights
-    from qals.samplers import _block_energies, _spin_block
+    from qals.core import energies
+    from qals.samplers import spins_at
 
     rng = np.random.default_rng(5)
     g = complete_graph(4)
     a = rng.uniform(-1, 1, size=(4, 4))
     w = weights(a + a.T, g)
     beta = 0.7
-    states = _spin_block(4, 0, 16)
-    exact = np.exp(-beta * _block_energies(w, states))
+    states = spins_at(4, np.arange(16))
+    exact = np.exp(-beta * energies(w.theta, states))
     exact /= exact.sum()
     reads = 4000
     counts = np.zeros(16)
