@@ -7,7 +7,10 @@ Permutations are 1-D integer arrays holding the image of each index:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -82,6 +85,41 @@ class TopologyGraph:
 
     def degree(self, i: int) -> int:
         return int(self.adjacency_mask[i].sum()) - 1
+
+    @cached_property
+    def colour_classes(self) -> tuple[np.ndarray, ...]:
+        """Independent sets partitioning the nodes, computed on first use.
+
+        Greedy smallest-free colouring in breadth-first order, one component
+        at a time from its lowest index, neighbours queued in index order.
+        A bipartite graph gets two classes and the complete graph n
+        singletons in index order. Class c holds the nodes of colour c in
+        increasing order.
+        """
+        neighbours = [[] for _ in range(self.n)]
+        for i, j in sorted(self.edges):  # leaves every neighbour list ascending
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        colour = [-1] * self.n
+        queued = [False] * self.n
+        for root in range(self.n):
+            if queued[root]:
+                continue
+            queued[root] = True
+            queue = deque([root])
+            while queue:
+                node = queue.popleft()
+                taken = {colour[v] for v in neighbours[node]}
+                colour[node] = next(c for c in count() if c not in taken)
+                for v in neighbours[node]:
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        colour = np.array(colour)
+        classes = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
+        for c in classes:
+            c.flags.writeable = False  # one cached copy is shared by every caller
+        return classes
 
 
 @dataclass

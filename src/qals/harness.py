@@ -18,7 +18,7 @@ from .samplers import (
     enumerate_minima,
     spins_at,
 )
-from .solver import solve
+from .solver import reraise_with_context, solve
 from .topology import chimera_graph, complete_graph, load_edge_list
 
 
@@ -163,7 +163,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         try:
             report = solve(problem, graph, sampler, replace(spec.params, seed=seed))
         except Exception as exc:
-            raise type(exc)(f"{exc} (replica {r})") from exc
+            reraise_with_context(exc, f"replica {r}")
         millis = (time.perf_counter() - t0) * 1e3
         success = None
         iters = None

@@ -7,6 +7,7 @@ are handed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -161,25 +162,40 @@ def metropolis_sample(
 
     Each chain starts from a uniform random state and performs one single-spin
     update per variable per sweep; the flip cost uses only the spin's bias and
-    incident couplings. The k chains advance in lockstep so the whole call is
-    one deterministic function of the rng state.
+    incident couplings. A sweep visits the graph's colour classes in order and
+    flips each class in one vectorised step: no two spins of a class share an
+    edge, so this is the same dynamics as visiting them one by one. The k
+    chains advance in lockstep so the whole call is one deterministic function
+    of the rng state. A class draws its uniforms spin-major, so when the
+    classes are ascending runs of consecutive indices (every complete graph,
+    ``chimera:1``) the rng is consumed exactly as by a per-spin sweep in index
+    order.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = theta.n
-    couplings = theta.theta.copy()
+    classes = theta.graph.colour_classes
+    order = np.concatenate(classes)
+    bounds = np.cumsum([0] + [c.size for c in classes])
+    # Permute once so that every class is a contiguous block of columns.
+    couplings = theta.theta[np.ix_(order, order)]
     np.fill_diagonal(couplings, 0.0)
-    biases = theta.biases.copy()
+    biases = theta.biases[order]
 
-    states = (2 * rng.integers(0, 2, size=(k, n)) - 1).astype(np.float64)
+    states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
+    steps = [
+        (states[:, lo:hi], couplings[:, lo:hi], biases[lo:hi], hi - lo)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
     for beta in schedule.betas(theta):
-        for i in range(n):
-            local = states @ couplings[i]
-            delta = -2.0 * states[:, i] * (biases[i] + local)
-            u = rng.random(k)
-            accept = (delta <= 0.0) | (u < np.exp(-beta * np.maximum(delta, 0.0)))
-            states[accept, i] = -states[accept, i]
-    return states.astype(SPIN_DTYPE)
+        for spins, columns, bias, size in steps:
+            # x = s * (local field) is minus half the flip cost, so the
+            # acceptance probability min(1, exp(-beta * cost)) is exp(2 beta min(x, 0))
+            x = spins * (bias + states @ columns)
+            np.minimum(x, 0.0, out=x)
+            x *= 2.0 * beta
+            accept = rng.random((size, k)).T < np.exp(x, out=x)
+            np.negative(spins, out=spins, where=accept)
+    return states[:, np.argsort(order)].astype(SPIN_DTYPE)
 
 
 def random_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -287,14 +303,20 @@ class RemoteSampler:
             raise MalformedResponseError(f"info returned status {r.status_code}")
         try:
             payload = r.json()
-            return {
+            info = {
                 "delta": float(payload["delta"]),
                 "gamma": float(payload["gamma"]),
                 "topology": str(payload["topology"]),
                 "max_nodes": int(payload["max_nodes"]),
             }
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise MalformedResponseError(f"bad info payload: {exc}") from exc
+        for name in ("delta", "gamma"):
+            if not 0.0 < info[name] < math.inf:
+                raise MalformedResponseError(
+                    f"bad info payload: {name} must be positive and finite, got {info[name]}"
+                )
+        return info
 
     def sample(self, theta: WeightMatrix, k: int, rng=None) -> np.ndarray:
         info = self.info()
@@ -325,10 +347,14 @@ class RemoteSampler:
             raise MalformedResponseError(f"sample returned status {r.status_code}")
         try:
             payload = r.json()
-            samples = np.asarray(payload["samples"], dtype=np.int64)
+            samples = np.asarray(payload["samples"])
             reported = [float(e) for e in payload["energies"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad sample payload: {exc}") from exc
+        if samples.dtype.kind not in "iuf":
+            raise MalformedResponseError("service returned non-numeric samples")
+        if not all(math.isfinite(e) for e in reported):
+            raise MalformedResponseError("service returned non-finite energies")
         if samples.ndim != 2 or samples.shape[1] != n:
             raise SampleShapeError(
                 f"service returned vectors of length "

@@ -9,6 +9,7 @@ likely worse candidates are to be accepted.
 from __future__ import annotations
 
 import math
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,6 +39,23 @@ def _named_streams(seed: int) -> dict:
     """
     children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
     return {name: np.random.default_rng(c) for name, c in zip(_STREAM_NAMES, children)}
+
+
+def reraise_with_context(exc: Exception, context: str) -> NoReturn:
+    """Raise ``exc`` again as its own type with ``(context)`` appended.
+
+    Call it from the ``except`` block that caught ``exc``. A type that cannot
+    be rebuilt from one message (``json.JSONDecodeError`` needs the document
+    and a position) is re-raised unchanged rather than masked by the
+    ``TypeError`` of its constructor.
+    """
+    try:
+        wrapped = type(exc)(f"{exc} ({context})")
+    except Exception:
+        wrapped = None
+    if wrapped is None:
+        raise exc
+    raise wrapped from exc
 
 
 def modify_permutation(sigma: np.ndarray, pr: float, rng: np.random.Generator) -> np.ndarray:
@@ -123,7 +141,7 @@ def solve(
         try:
             y = estimate_argmin(sampler, theta, params.k, samp_rng)
         except SamplerError as exc:
-            raise type(exc)(f"{exc} (during {phase})") from exc
+            reraise_with_context(exc, f"during {phase}")
         return decode(y, sigma)
 
     ident = identity_permutation(n)

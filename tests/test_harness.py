@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qals import (
     random_qubo,
     run_experiment,
 )
+from qals import harness
 
 
 # -------------------------------------------------------------- random_qubo
@@ -173,3 +175,25 @@ def test_experiment_skips_oracle_when_disabled():
     assert report.oracle_value is None
     assert report.success_rate is None
     assert all(r.success is None for r in report.replicas)
+
+
+def _failing_solve(error):
+    def solve(*args, **kwargs):
+        raise error
+
+    return solve
+
+
+def test_experiment_failure_names_replica(monkeypatch):
+    monkeypatch.setattr(harness, "solve", _failing_solve(ValueError("boom")))
+    with pytest.raises(ValueError, match=r"^boom \(replica 0\)$"):
+        run_experiment(small_spec())
+
+
+def test_experiment_failure_without_message_constructor_reraised(monkeypatch):
+    # JSONDecodeError(msg) alone raises TypeError: the original must surface
+    error = json.JSONDecodeError("bad reply", "{", 1)
+    monkeypatch.setattr(harness, "solve", _failing_solve(error))
+    with pytest.raises(json.JSONDecodeError) as info:
+        run_experiment(small_spec())
+    assert info.value is error

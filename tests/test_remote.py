@@ -17,6 +17,7 @@ from qals import (
     complete_graph,
     remote_sample,
 )
+from qals.cli import main
 
 
 class _Service:
@@ -47,10 +48,14 @@ class _Service:
                 if service.mode == "bad_info":
                     self._send(200, {"delta": 2.0})
                     return
-                self._send(
-                    200,
-                    {"delta": 2.0, "gamma": 1.0, "topology": "complete", "max_nodes": 16},
-                )
+                info = {"delta": 2.0, "gamma": 1.0, "topology": "complete", "max_nodes": 16}
+                if service.mode == "nan_delta":
+                    info["delta"] = float("nan")
+                elif service.mode == "nan_gamma":
+                    info["gamma"] = float("nan")
+                elif service.mode == "infinite_max_nodes":
+                    info["max_nodes"] = float("inf")
+                self._send(200, info)
 
             def do_POST(self):
                 if self.path != "/sample":
@@ -71,6 +76,15 @@ class _Service:
                     self._send(500, {"error": "overheated"})
                 elif service.mode == "wrong_count":
                     self._send(200, {"samples": [service.sample_row], "energies": [0.0]})
+                elif service.mode == "fractional_spin":
+                    samples = [[1.5, -1, 1]] * k
+                    self._send(200, {"samples": samples, "energies": [0.0] * k})
+                elif service.mode == "infinite_spin":
+                    samples = [[float("inf"), -1, 1]] * k
+                    self._send(200, {"samples": samples, "energies": [0.0] * k})
+                elif service.mode == "nan_energy":
+                    samples = [service.sample_row] * k
+                    self._send(200, {"samples": samples, "energies": [float("nan")] * k})
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
@@ -169,3 +183,27 @@ def test_one_shot_helper():
     with _Service() as svc:
         out = remote_sample(svc.url, toy_weights(), 2)
         assert out.shape == (2, 3)
+
+
+# json.dumps writes NaN and Infinity, which Python's json (and so requests)
+# reads back as floats: each mode is a payload that parses but is not valid.
+@pytest.mark.parametrize("mode", ["fractional_spin", "infinite_spin", "nan_energy"])
+def test_invalid_sample_payload_rejected(mode):
+    with _Service(mode=mode) as svc:
+        with pytest.raises(MalformedResponseError):
+            RemoteSampler(svc.url).sample(toy_weights(), 2)
+
+
+@pytest.mark.parametrize("mode", ["nan_delta", "nan_gamma", "infinite_max_nodes"])
+def test_non_finite_info_rejected(mode):
+    with _Service(mode=mode) as svc:
+        with pytest.raises(MalformedResponseError):
+            RemoteSampler(svc.url).info()
+
+
+@pytest.mark.parametrize("mode", ["fractional_spin", "nan_delta"])
+def test_invalid_payload_exits_two(mode, tmp_path):
+    path = tmp_path / "pair.qubo"
+    path.write_text("qubo 3\n0 1 1.0\n")
+    with _Service(mode=mode) as svc:
+        assert main(["solve", str(path), "--sampler", f"remote:{svc.url}"]) == 2

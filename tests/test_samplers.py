@@ -16,6 +16,7 @@ from qals import (
     estimate_argmin,
     exact_minimizers,
     exact_sample,
+    graph_from_edge_list,
     metropolis_sample,
     random_sample,
     scale_to_ranges,
@@ -211,6 +212,61 @@ def test_metropolis_matches_boltzmann_at_fixed_temperature():
     for s in metropolis_sample(w, reads, SaSchedule(sweeps=200, beta_start=beta, beta_end=beta), np.random.default_rng(11)):
         idx = sum(1 << (3 - i) for i in range(4) if s[i] == 1)
         counts[idx] += 1
+    tv = 0.5 * np.abs(counts / reads - exact).sum()
+    assert tv < 0.05
+
+
+def per_spin_sweeps(theta, k, schedule, rng):
+    # reference: one Python step per spin per sweep, in index order
+    couplings = theta.theta.copy()
+    np.fill_diagonal(couplings, 0.0)
+    biases = theta.biases.copy()
+    states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)
+    for beta in schedule.betas(theta):
+        for i in range(theta.n):
+            local = states @ couplings[i]
+            delta = -2.0 * states[:, i] * (biases[i] + local)
+            u = rng.random(k)
+            accept = (delta <= 0.0) | (u < np.exp(-beta * np.maximum(delta, 0.0)))
+            states[accept, i] = -states[accept, i]
+    return states.astype(np.int8)
+
+
+@pytest.mark.parametrize(
+    "graph", [complete_graph(1), complete_graph(2), complete_graph(5), complete_graph(16), chimera_graph(1)]
+)
+@pytest.mark.parametrize("integer", [False, True])
+def test_metropolis_matches_per_spin_sweep_on_consecutive_classes(graph, integer):
+    # classes that are ascending runs of consecutive indices consume the rng
+    # exactly as the per-spin sweep does, so the samples are bit-identical
+    rng = np.random.default_rng(3)
+    for seed in range(4):
+        w = random_weights(rng, graph, integer=integer)
+        k = (1, 3, 10, 10)[seed]
+        schedule = SaSchedule(sweeps=30) if seed < 3 else SaSchedule(5, 0.2, 4.0)
+        expected = per_spin_sweeps(w, k, schedule, np.random.default_rng(seed))
+        got = metropolis_sample(w, k, schedule, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype
+
+
+def test_metropolis_matches_boltzmann_on_interleaved_classes():
+    # a 6-ring colours as {0, 2, 4} and {1, 3, 5}: each sweep flips three
+    # spins per vectorised step, which must leave the Gibbs weights intact
+    from qals.core import energies
+    from qals.samplers import spins_at
+
+    g = graph_from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert [c.tolist() for c in g.colour_classes] == [[0, 2, 4], [1, 3, 5]]
+    w = random_weights(np.random.default_rng(5), g, lo=-1, hi=1)
+    beta = 0.7
+    states = spins_at(6, np.arange(64))
+    exact = np.exp(-beta * energies(w.theta, states))
+    exact /= exact.sum()
+    reads = 20000
+    samples = metropolis_sample(w, reads, SaSchedule(sweeps=200, beta_start=beta, beta_end=beta), np.random.default_rng(11))
+    idx = ((samples == 1) * (1 << np.arange(5, -1, -1))).sum(axis=1)
+    counts = np.bincount(idx, minlength=64)
     tv = 0.5 * np.abs(counts / reads - exact).sum()
     assert tv < 0.05
 

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from qals import (
+    CapacityError,
     ExactSampler,
     QalsParams,
     QuboProblem,
     RandomSampler,
+    SamplerError,
     accept_suboptimal,
     complete_graph,
     decode,
@@ -359,3 +361,35 @@ def test_solve_seed_changes_trajectory():
     a = solve(problem, graph, RandomSampler(), QalsParams(i_max=30, seed=1), record_trace=True)
     b = solve(problem, graph, RandomSampler(), QalsParams(i_max=30, seed=2), record_trace=True)
     assert a.trace != b.trace
+
+
+class FailingSampler:
+    def __init__(self, error):
+        self.error = error
+
+    def sample(self, theta, k, rng):
+        raise self.error
+
+
+class CodedSamplerError(SamplerError):
+    """A sampler error that cannot be rebuilt from one message."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_solve_sampler_failure_names_phase():
+    problem = QuboProblem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sampler = FailingSampler(CapacityError("too big"))
+    with pytest.raises(CapacityError, match=r"^too big \(during initialization\)$"):
+        solve(problem, complete_graph(2), sampler, QalsParams(i_max=5))
+
+
+def test_solve_sampler_failure_without_message_constructor_reraised():
+    problem = QuboProblem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    error = CodedSamplerError("rate limited", 429)
+    with pytest.raises(CodedSamplerError) as info:
+        solve(problem, complete_graph(2), FailingSampler(error), QalsParams(i_max=5))
+    assert info.value is error
+    assert str(error) == "rate limited"

@@ -115,3 +115,56 @@ def test_parse_edge_list_errors(text):
 def test_parse_edge_list_reports_line_numbers():
     with pytest.raises(ValueError, match="line 3"):
         parse_edge_list("# c\nn 3\n0 7\n")
+
+
+# ------------------------------------------------------------ colour classes
+
+
+def ring(n):
+    return graph_from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        complete_graph(1),
+        complete_graph(5),
+        chimera_graph(1),
+        chimera_graph(3),
+        ring(6),
+        ring(5),
+        graph_from_edge_list(7, [(0, 6), (2, 3), (3, 4), (2, 4)]),
+        graph_from_edge_list(4, []),
+    ],
+)
+def test_colour_classes_are_independent_sets_partitioning_the_nodes(graph):
+    classes = graph.colour_classes
+    np.testing.assert_array_equal(np.sort(np.concatenate(classes)), np.arange(graph.n))
+    for c in classes:
+        assert c.size > 0
+        np.testing.assert_array_equal(c, np.sort(c))
+        block = graph.adjacency_mask[np.ix_(c, c)]
+        np.testing.assert_array_equal(block, np.eye(c.size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_complete_graph_colour_classes_are_singletons_in_order(n):
+    classes = complete_graph(n).colour_classes
+    assert [c.tolist() for c in classes] == [[i] for i in range(n)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_chimera_has_two_colour_classes(m):
+    classes = chimera_graph(m).colour_classes
+    assert [c.size for c in classes] == [4 * m * m, 4 * m * m]
+
+
+def test_ring_colour_classes_interleave():
+    assert [c.tolist() for c in ring(6).colour_classes] == [[0, 2, 4], [1, 3, 5]]
+    # breadth-first from 0 reaches 1 and 4 first; the odd cycle needs a third colour
+    assert [c.tolist() for c in ring(5).colour_classes] == [[0, 2], [1, 4], [3]]
+
+
+def test_colour_classes_cached():
+    g = chimera_graph(2)
+    assert g.colour_classes is g.colour_classes
