@@ -258,12 +258,27 @@ def energies(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     ``weights`` is the raw symmetric (n, n) array with biases on the
     diagonal; each edge is counted once. This is the one energy kernel:
-    ``energy``, ``estimate_argmin`` and exhaustive enumeration all rank
-    states with it, so their float ties agree.
+    ``energy`` and ``estimate_argmin`` rank states with it, and exhaustive
+    enumeration builds its tables and its minimum with the same arithmetic
+    through ``split_energies``.
+
+    A row's value can depend in the last ulp on how many rows share the
+    call and on its place among them, because the matrix products pick
+    their summation order by shape. The result is a deterministic function
+    of the inputs, but equal values for equal rows, within one call or
+    across calls, are not part of the contract.
     """
     zf = np.asarray(Z, dtype=np.float64)
-    upper = np.triu(weights, k=1)
-    return zf @ np.diagonal(weights) + ((zf @ upper) * zf).sum(axis=1)
+    return split_energies(np.diagonal(weights), np.triu(weights, k=1), zf)
+
+
+def split_energies(bias: np.ndarray, upper: np.ndarray, zf: np.ndarray) -> np.ndarray:
+    """``energies`` from the biases and the strict upper triangle of the weights.
+
+    ``zf`` is a float64 spin array. This is the arithmetic of ``energies``
+    itself, for callers that already hold the split weights.
+    """
+    return zf @ bias + ((zf @ upper) * zf).sum(axis=1)
 
 
 def energy(theta: WeightMatrix, z: np.ndarray) -> float:

@@ -50,7 +50,9 @@ def brute_force_min(problem: QuboProblem) -> tuple[np.ndarray, float]:
 
     Returns the lexicographically smallest minimizer (-1 sorts before +1)
     and its objective value, re-evaluated through ``objective`` so equality
-    comparisons against solver output see the same float path.
+    comparisons against solver output see the same float path. Minimizers
+    are ranked by ``enumerate_minima``'s split-bits table, so a state within
+    its rounding slack of the minimum counts as tied and the first one wins.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:

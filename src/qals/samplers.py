@@ -7,6 +7,7 @@ are handed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -14,7 +15,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from .core import SPIN_DTYPE, WeightMatrix, energies
+from .core import SPIN_DTYPE, WeightMatrix, energies, split_energies
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18  # states per enumeration block: 2**18
@@ -56,28 +57,67 @@ def spins_at(n: int, indices: np.ndarray) -> np.ndarray:
     return (2 * bits - 1).astype(SPIN_DTYPE)
 
 
-def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scan all 2^n states of a raw weight array in blocks of 2**_BLOCK_BITS.
+@functools.cache
+def _spin_table(l: int) -> np.ndarray:
+    """Read-only float spin rows of all 2^l states, in lexicographic order.
 
-    Returns the lexicographic indices of every state at the minimum energy,
-    in increasing order, together with that minimum. Ties are decided by
-    exact float equality under ``energies``, so the first index is the
-    lexicographically first minimizer. Memory is one block plus 8 bytes per
-    minimizer. Callers pass finite weights and enforce ``ENUMERATION_LIMIT``.
+    Cached because it depends on ``l`` alone and building it is a large
+    share of the fixed cost of a small enumeration;
+    ``l <= ENUMERATION_LIMIT - ENUMERATION_LIMIT // 2`` keeps the cache under
+    1 MB.
+    """
+    table = spins_at(l, np.arange(1 << l)).astype(np.float64)
+    table.flags.writeable = False
+    return table
+
+
+def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Every minimum-energy state of a raw weight array, by a split-bits table.
+
+    The first ``h = n // 2`` spins form the high part H and the other ``l``
+    the low part L, so the energy of state ``a * 2**l + b`` is
+    ``E_H[a] + E_L[b] + (Z_H C Z_L^T)[a, b]`` with ``C`` the H-L couplings.
+    The table is built over blocks of rows of H holding 2**_BLOCK_BITS
+    states, at about ``n / 2`` flops per state.
+
+    Tie rule: a state is a minimizer when its table energy is within
+    ``slack = 4 (n + 2) eps sum|weights|`` of the table minimum. The slack
+    bounds the summation-order error of the table and of ``energies`` and
+    scales with the weights, so positive rescaling keeps the set. Returns
+    the lexicographic indices of the minimizers in increasing order, and
+    the energy of the first of them as one ``energies`` row, which equals
+    ``energy(theta, minimizers[0])`` bit for bit. Memory is the spin table
+    of L, one block, and 16 bytes per state within the slack of the running
+    minimum. Callers pass finite weights and enforce ``ENUMERATION_LIMIT``.
     """
     n = weights.shape[0]
-    total = 1 << n
-    step = min(total, 1 << _BLOCK_BITS)
+    h, l = n // 2, n - n // 2
+    upper = np.triu(weights, k=1)
+    bias = np.diagonal(weights)
+    z_low = _spin_table(l)
+    z_high = z_low[: 1 << h, l - h :]
+    e_low = split_energies(bias[h:], upper[h:, h:], z_low)
+    e_high = split_energies(bias[:h], upper[:h, :h], z_high)
+    cross = z_high @ upper[:h, h:]
+    slack = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(weights).sum()
+    rows = max(1, (1 << _BLOCK_BITS) >> l)
     best = np.inf
-    found = []
-    for start in range(0, total, step):
-        e = energies(weights, spins_at(n, np.arange(start, min(start + step, total))))
-        block_min = e.min()
+    found = []  # (indices, table energies) within the slack of the running minimum
+    for row in range(0, 1 << h, rows):
+        t = cross[row : row + rows] @ z_low.T
+        t += e_low
+        t += e_high[row : row + rows, None]
+        t = t.ravel()
+        block_min = t.min()
         if block_min < best:
-            best, found = block_min, []
-        if block_min == best:
-            found.append(start + np.flatnonzero(e == best))
-    return np.concatenate(found), float(best)
+            best = block_min
+            found = [(i[e <= best + slack], e[e <= best + slack]) for i, e in found]
+        keep = np.flatnonzero(t <= best + slack)
+        found.append(((row << l) + keep, t[keep]))
+    indices = np.concatenate([i for i, _ in found])
+    a, b = divmod(int(indices[0]), 1 << l)
+    first = np.concatenate((z_high[a], z_low[b]))[None, :]  # spins_at(n, indices[:1])
+    return indices, float(split_energies(bias, upper, first)[0])
 
 
 def _check_enumerable(n: int):
@@ -92,7 +132,10 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     """Enumerate the full minimizer set of the energy landscape.
 
     Returns the minimizers as rows in lexicographic order together with the
-    minimum energy. Only valid up to the enumeration limit.
+    minimum energy, ``energy(theta, minimizers[0])``. A state counts as a
+    minimizer when it is within ``enumerate_minima``'s rounding slack of the
+    minimum, so exactly tied states are never split by summation order.
+    Only valid up to the enumeration limit.
     """
     _check_enumerable(theta.n)
     indices, emin = enumerate_minima(theta.theta)
@@ -102,7 +145,9 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
 def exact_sample(theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
     """Return k states drawn uniformly from the exact minimizer set.
 
-    Holds one enumeration block plus 8 bytes per minimizer.
+    The set is ``exact_minimizers``' (ties within the rounding slack), and
+    the draw is one ``rng.integers(0, count, size=k)`` call. Holds one
+    enumeration block plus 16 bytes per minimizer.
     """
     _check_enumerable(theta.n)
     if k < 1:
@@ -239,7 +284,10 @@ def estimate_argmin(
     """Draw k samples and keep the lowest-energy one.
 
     All k samples are scored with one ``energies`` call; ties are decided by
-    exact float equality and the first tied row wins.
+    exact float equality and the first tied row wins. The rule compares the
+    values of that one call only, which are a deterministic function of the
+    samples, so the pick is too; values from calls of other sizes could
+    differ in the last ulp and would not give a stable rule.
     """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
     return samples[int(np.argmin(energies(theta.theta, samples)))]
@@ -306,16 +354,30 @@ class RemoteSampler:
             info = {
                 "delta": float(payload["delta"]),
                 "gamma": float(payload["gamma"]),
-                "topology": str(payload["topology"]),
-                "max_nodes": int(payload["max_nodes"]),
+                "topology": payload["topology"],
+                "max_nodes": payload["max_nodes"],
             }
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad info payload: {exc}") from exc
         for name in ("delta", "gamma"):
             if not 0.0 < info[name] < math.inf:
                 raise MalformedResponseError(
                     f"bad info payload: {name} must be positive and finite, got {info[name]}"
                 )
+        if not isinstance(info["topology"], str):
+            raise MalformedResponseError(
+                f"bad info payload: topology must be a string, got {info['topology']!r}"
+            )
+        max_nodes = info["max_nodes"]
+        # type(), not isinstance(): a JSON true must not pass as 1
+        if not (
+            type(max_nodes) is int
+            or (type(max_nodes) is float and max_nodes.is_integer())
+        ):
+            raise MalformedResponseError(
+                f"bad info payload: max_nodes must be an integer, got {max_nodes!r}"
+            )
+        info["max_nodes"] = int(max_nodes)
         return info
 
     def sample(self, theta: WeightMatrix, k: int, rng=None) -> np.ndarray:
@@ -348,7 +410,10 @@ class RemoteSampler:
         try:
             payload = r.json()
             samples = np.asarray(payload["samples"])
-            reported = [float(e) for e in payload["energies"]]
+            reported = payload["energies"]
+            if not isinstance(reported, list):
+                raise MalformedResponseError("service returned energies that are not a list")
+            reported = [float(e) for e in reported]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad sample payload: {exc}") from exc
         if samples.dtype.kind not in "iuf":

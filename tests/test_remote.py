@@ -55,6 +55,14 @@ class _Service:
                     info["gamma"] = float("nan")
                 elif service.mode == "infinite_max_nodes":
                     info["max_nodes"] = float("inf")
+                elif service.mode == "fractional_max_nodes":
+                    info["max_nodes"] = 16.7
+                elif service.mode == "boolean_max_nodes":
+                    info["max_nodes"] = True
+                elif service.mode == "integral_float_max_nodes":
+                    info["max_nodes"] = 16.0
+                elif service.mode == "non_string_topology":
+                    info["topology"] = ["complete"]
                 self._send(200, info)
 
             def do_POST(self):
@@ -65,10 +73,7 @@ class _Service:
                 request = json.loads(self.rfile.read(length))
                 service.requests.append(request)
                 k = request["num_reads"]
-                if service.mode == "echo":
-                    samples = [service.sample_row] * k
-                    self._send(200, {"samples": samples, "energies": [0.0] * k})
-                elif service.mode == "short_rows":
+                if service.mode == "short_rows":
                     self._send(200, {"samples": [[1, -1]] * k, "energies": [0.0] * k})
                 elif service.mode == "garbage":
                     self._send(200, None, raw=b"this is not json")
@@ -85,9 +90,18 @@ class _Service:
                 elif service.mode == "nan_energy":
                     samples = [service.sample_row] * k
                     self._send(200, {"samples": samples, "energies": [float("nan")] * k})
+                elif service.mode == "string_energies":
+                    samples = [service.sample_row] * k
+                    self._send(200, {"samples": samples, "energies": "0" * k})
+                else:  # "echo", and the modes that only change /info
+                    samples = [service.sample_row] * k
+                    self._send(200, {"samples": samples, "energies": [0.0] * k})
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits for the next poll, so poll often to keep each test short
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self):
@@ -187,7 +201,9 @@ def test_one_shot_helper():
 
 # json.dumps writes NaN and Infinity, which Python's json (and so requests)
 # reads back as floats: each mode is a payload that parses but is not valid.
-@pytest.mark.parametrize("mode", ["fractional_spin", "infinite_spin", "nan_energy"])
+@pytest.mark.parametrize(
+    "mode", ["fractional_spin", "infinite_spin", "nan_energy", "string_energies"]
+)
 def test_invalid_sample_payload_rejected(mode):
     with _Service(mode=mode) as svc:
         with pytest.raises(MalformedResponseError):
@@ -201,7 +217,24 @@ def test_non_finite_info_rejected(mode):
             RemoteSampler(svc.url).info()
 
 
-@pytest.mark.parametrize("mode", ["fractional_spin", "nan_delta"])
+@pytest.mark.parametrize(
+    "mode", ["fractional_max_nodes", "boolean_max_nodes", "non_string_topology"]
+)
+def test_ill_typed_info_rejected(mode):
+    with _Service(mode=mode) as svc:
+        with pytest.raises(MalformedResponseError):
+            RemoteSampler(svc.url).info()
+
+
+def test_integral_float_max_nodes_accepted():
+    with _Service(mode="integral_float_max_nodes") as svc:
+        info = RemoteSampler(svc.url).info()
+        assert info["max_nodes"] == 16 and type(info["max_nodes"]) is int
+
+
+@pytest.mark.parametrize(
+    "mode", ["fractional_spin", "nan_delta", "fractional_max_nodes", "string_energies"]
+)
 def test_invalid_payload_exits_two(mode, tmp_path):
     path = tmp_path / "pair.qubo"
     path.write_text("qubo 3\n0 1 1.0\n")

@@ -1,5 +1,8 @@
 """Local sampler backends, the argmin estimator, and range scaling."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,73 @@ def test_exact_sample_chunked_matches_single_block():
         np.testing.assert_array_equal(a_rows, b_rows)
     np.testing.assert_array_equal(z_one_block, z_chunked)
     assert f_one_block == f_chunked
+
+
+def rational_minimizers(theta):
+    """Lexicographic indices of every minimizer, in exact arithmetic on the float weights."""
+    n = theta.shape[0]
+    w = [[Fraction(float(x)) for x in row] for row in theta]
+    best, found = None, []
+    for index, z in enumerate(itertools.product((-1, 1), repeat=n)):
+        e = sum(w[i][i] * z[i] for i in range(n))
+        e += sum(w[i][j] * z[i] * z[j] for i in range(n) for j in range(i + 1, n))
+        if best is None or e < best:
+            best, found = e, [index]
+        elif e == best:
+            found.append(index)
+    return found
+
+
+def decimal_weights(rng, n):
+    # 0.1 is not a binary fraction, so tied sums differ in the last ulp by summation order
+    a = rng.choice([-0.1, 0.0, 0.1], size=(n, n))
+    return weights(np.triu(a) + np.triu(a, 1).T, complete_graph(n))
+
+
+def test_exact_minimizers_keep_ties_on_decimal_weights():
+    import qals.samplers as sam
+
+    # exact float equality over one energy block kept only index 2 here
+    w = weights([[0.1, 0.0, 0.0], [0.0, -0.1, -0.1], [0.0, -0.1, 0.1]], complete_graph(3))
+    instances = [w] + [decimal_weights(np.random.default_rng(s), 2 + s % 7) for s in range(40)]
+    for w in instances:
+        expected = rational_minimizers(w.theta)
+        ms, emin = exact_minimizers(w)
+        np.testing.assert_array_equal(ms, sam.spins_at(w.n, np.array(expected)))
+        assert emin == energy(w, ms[0])
+    drawn = {tuple(s) for s in exact_sample(instances[0], 200, np.random.default_rng(0))}
+    assert drawn == {(-1, -1, -1), (-1, 1, -1), (-1, 1, 1)}
+
+
+@pytest.mark.parametrize("make", ["float", "integer", "decimal", "zero_bias"])
+def test_enumeration_block_size_does_not_change_minimizers(make, monkeypatch):
+    import qals.samplers as sam
+
+    rng = np.random.default_rng(20)
+    g = complete_graph(20)
+    if make == "decimal":
+        w = decimal_weights(rng, 20)
+    else:
+        w = random_weights(rng, g, integer=make == "integer", lo=-2, hi=2)
+        if make == "zero_bias":  # z and -z tie, in blocks far apart
+            w = weights(w.theta - np.diag(w.biases), g)
+    default = sam.enumerate_minima(w.theta)
+    for bits in (12, 5):  # blocks of four rows of the table, then of one row
+        monkeypatch.setattr(sam, "_BLOCK_BITS", bits)
+        indices, emin = sam.enumerate_minima(w.theta)
+        np.testing.assert_array_equal(indices, default[0])
+        assert emin == default[1]
+    assert default[1] == energy(w, sam.spins_at(20, default[0][:1])[0])
+
+
+def test_enumerated_minimum_is_the_energy_of_the_first_minimizer():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 12, 15):
+        for integer in (False, True):
+            w = random_weights(rng, complete_graph(n), integer=integer)
+            ms, emin = exact_minimizers(w)
+            assert emin == energy(w, ms[0])
+            assert all(energy(w, z) <= emin + 1e-9 for z in ms)
 
 
 def test_exact_sample_capacity_guard():
