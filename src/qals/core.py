@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 
 import numpy as np
@@ -29,7 +29,7 @@ def as_spins(values) -> np.ndarray:
 
 def is_permutation(sigma: np.ndarray) -> bool:
     sigma = np.asarray(sigma)
-    return sigma.ndim == 1 and np.array_equal(np.sort(sigma), np.arange(sigma.size))
+    return sigma.ndim == 1 and bool((np.sort(sigma) == np.arange(sigma.size)).all())
 
 
 def identity_permutation(n: int) -> np.ndarray:
@@ -127,6 +127,11 @@ class WeightMatrix:
     """Annealer weights: diagonal entries are biases, off-diagonal couplings.
 
     Off-diagonal entries must vanish outside the support graph's edge set.
+    The public constructor is the boundary: it checks the shape, that the
+    entries are finite and symmetric, and the edge support. ``_trusted``
+    skips those checks and is only for code that makes the invariants true
+    itself: ``encode`` (checked inputs, masked by the support) and
+    ``scale_to_ranges`` (a checked matrix divided by one positive scalar).
     """
 
     theta: np.ndarray
@@ -146,6 +151,14 @@ class WeightMatrix:
             raise ValueError("weight matrix has couplings outside the edge set")
         self.theta = theta
 
+    @classmethod
+    def _trusted(cls, theta: np.ndarray, graph: TopologyGraph) -> "WeightMatrix":
+        """Wrap a float64 ``theta`` that already meets every invariant, unchecked."""
+        out = cls.__new__(cls)
+        out.theta = theta
+        out.graph = graph
+        return out
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -160,7 +173,10 @@ class TabuMatrix:
     """Integer symmetric matrix accumulating penalties for rejected candidates.
 
     ``m`` counts accumulated candidates; every entry has absolute value at
-    most ``m`` and the same parity as ``m``.
+    most ``m`` and the same parity as ``m``. The public constructor checks
+    that ``s`` is square and symmetric; ``_trusted`` skips the check and is
+    only for ``tabu_update``, whose result is the sum of two symmetric
+    int64 matrices.
     """
 
     s: np.ndarray
@@ -173,6 +189,14 @@ class TabuMatrix:
         if not np.array_equal(s, s.T):
             raise ValueError("tabu matrix must be symmetric")
         self.s = s
+
+    @classmethod
+    def _trusted(cls, s: np.ndarray, m: int) -> "TabuMatrix":
+        """Wrap a symmetric int64 ``s`` without checking it."""
+        out = cls.__new__(cls)
+        out.s = s
+        out.m = m
+        return out
 
     @property
     def n(self) -> int:
@@ -269,7 +293,16 @@ def energies(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
     across calls, are not part of the contract.
     """
     zf = np.asarray(Z, dtype=np.float64)
-    return split_energies(np.diagonal(weights), np.triu(weights, k=1), zf)
+    upper = np.where(_strict_upper_mask(weights.shape[0]), weights, 0.0)  # np.triu(weights, 1)
+    return split_energies(np.diagonal(weights), upper, zf)
+
+
+@lru_cache(maxsize=16)
+def _strict_upper_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of the entries above the diagonal, kept per n."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def split_energies(bias: np.ndarray, upper: np.ndarray, zf: np.ndarray) -> np.ndarray:
@@ -304,11 +337,16 @@ def tabu_init(z: np.ndarray) -> TabuMatrix:
 
 
 def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
-    """Fold one more rejected candidate into the tabu matrix."""
+    """Fold one more rejected candidate into the tabu matrix.
+
+    ``z`` is checked. The result is built unchecked: ``s.s`` is symmetric
+    int64 by ``TabuMatrix``'s invariant and the added term is too, so their
+    sum is exactly symmetric.
+    """
     z = as_spins(z)
     if z.size != s.n:
         raise ValueError(f"spin vector has length {z.size}, tabu matrix expects {s.n}")
-    return TabuMatrix(s.s + _tabu_term(z), m=s.m + 1)
+    return TabuMatrix._trusted(s.s + _tabu_term(z), s.m + 1)
 
 
 def conjugate_tabu(s: TabuMatrix, sigma: np.ndarray) -> TabuMatrix:
@@ -330,18 +368,29 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
 
     Logical variable i is assigned to qubit sigma[i]; entries landing outside
     the edge set are masked away (the unit diagonal keeps every bias).
+
+    The inputs are checked: ``qprime`` must be (n, n), finite and symmetric
+    (off-edge entries included) and ``sigma`` a permutation of the nodes.
+    The result is then built without ``WeightMatrix``'s checks, because they
+    hold by construction: placing a symmetric matrix under a permutation
+    keeps it symmetric and finite, and the multiply by the adjacency mask
+    zeroes every coupling outside the edge set.
     """
     qprime = np.asarray(qprime, dtype=np.float64)
     n = graph.n
     if qprime.shape != (n, n):
         raise ValueError(f"coefficient matrix is {qprime.shape}, graph has {n} nodes")
+    if not np.isfinite(qprime).all():
+        raise ValueError("coefficient matrix has non-finite entries")
+    if not (qprime == qprime.T).all():
+        raise ValueError("coefficient matrix must be symmetric")
     sigma = np.asarray(sigma)
     if sigma.size != n or not is_permutation(sigma):
         raise ValueError("sigma is not a permutation of the graph's nodes")
-    theta = np.zeros((n, n), dtype=np.float64)
-    theta[np.ix_(sigma, sigma)] = qprime
+    theta = np.empty((n, n), dtype=np.float64)  # every entry is written below
+    theta[sigma[:, None], sigma] = qprime
     theta *= graph.adjacency_mask
-    return WeightMatrix(theta, graph)
+    return WeightMatrix._trusted(theta, graph)
 
 
 def decode(y: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -228,17 +229,20 @@ def metropolis_sample(
 
     states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
     steps = [
-        (states[:, lo:hi], couplings[:, lo:hi], biases[lo:hi], hi - lo)
+        (states[:, lo:hi], couplings[:, lo:hi], biases[lo:hi], slice(lo, hi))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     for beta in schedule.betas(theta):
-        for spins, columns, bias, size in steps:
+        # One draw per sweep: the classes are contiguous blocks of rows, so
+        # each slice holds the values a per-class rng.random((size, k)) would.
+        uniforms = rng.random((theta.n, k))
+        for spins, columns, bias, rows in steps:
             # x = s * (local field) is minus half the flip cost, so the
             # acceptance probability min(1, exp(-beta * cost)) is exp(2 beta min(x, 0))
             x = spins * (bias + states @ columns)
             np.minimum(x, 0.0, out=x)
             x *= 2.0 * beta
-            accept = rng.random((size, k)).T < np.exp(x, out=x)
+            accept = uniforms[rows].T < np.exp(x, out=x)
             np.negative(spins, out=spins, where=accept)
     return states[:, np.argsort(order)].astype(SPIN_DTYPE)
 
@@ -256,15 +260,20 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     Divides by the smallest factor that brings every entry inside its range,
     so at least one bound is attained; positive scaling leaves the minimizer
     set untouched. A zero matrix is returned unchanged.
+
+    The bounds are checked; the result is built without ``WeightMatrix``'s
+    checks, because dividing a checked matrix by one positive scalar keeps
+    it symmetric and zero off the edge set, and every entry ends within its
+    finite bound.
     """
-    if delta <= 0 or gamma <= 0:
-        raise ValueError("range bounds must be positive")
+    if not (0 < delta < math.inf and 0 < gamma < math.inf):
+        raise ValueError("range bounds must be positive and finite")
     biases = np.abs(theta.biases)
     upper = np.abs(np.triu(theta.theta, k=1))
     c = max(biases.max() / delta, upper.max() / gamma)
     if c == 0.0:
         return theta
-    return WeightMatrix(theta.theta / c, theta.graph)
+    return WeightMatrix._trusted(theta.theta / c, theta.graph)
 
 
 def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -273,7 +282,7 @@ def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:
         raise SampleShapeError(
             f"backend returned shape {samples.shape}, expected ({k}, {n})"
         )
-    if not np.all(np.abs(samples) == 1):
+    if not (np.abs(samples) == 1).all():
         raise SampleShapeError("backend returned entries other than -1/+1")
     return samples.astype(SPIN_DTYPE)
 
@@ -352,18 +361,19 @@ class RemoteSampler:
         try:
             payload = r.json()
             info = {
-                "delta": float(payload["delta"]),
-                "gamma": float(payload["gamma"]),
-                "topology": payload["topology"],
-                "max_nodes": payload["max_nodes"],
+                name: payload[name] for name in ("delta", "gamma", "topology", "max_nodes")
             }
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad info payload: {exc}") from exc
         for name in ("delta", "gamma"):
-            if not 0.0 < info[name] < math.inf:
+            value = info[name]
+            # type(), not isinstance(): a JSON true must not pass as 1; the
+            # upper bound also keeps float() from overflowing on a huge integer
+            if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
                 raise MalformedResponseError(
-                    f"bad info payload: {name} must be positive and finite, got {info[name]}"
+                    f"bad info payload: {name} must be a positive finite number, got {value!r}"
                 )
+            info[name] = float(value)
         if not isinstance(info["topology"], str):
             raise MalformedResponseError(
                 f"bad info payload: topology must be a string, got {info['topology']!r}"

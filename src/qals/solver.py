@@ -178,7 +178,7 @@ def solve(
         f_prime = None
         accepted = False
         improved = False
-        if not np.array_equal(z_prime, z_star):
+        if not (z_prime == z_star).all():  # both are length-n spin vectors
             f_prime = objective(problem, z_prime)
             evaluations += 1
             if f_prime < f_best:

@@ -261,6 +261,40 @@ def test_encode_places_variables_at_assigned_qubits():
             assert theta[sigma[i], sigma[j]] == q[i, j]
 
 
+def _path3_coefficients(entries=None):
+    # coefficients for graph_from_edge_list(3, [(0, 1), (1, 2)]); pair (0, 2) is off the edge set
+    q = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 0.0]])
+    for (i, j), value in (entries or {}).items():
+        q[i, j] = value
+    return q
+
+
+@pytest.mark.parametrize(
+    "q, match",
+    [
+        (_path3_coefficients({(0, 1): 3.0}), "symmetric"),
+        # off the edge set: masked away before, rejected now
+        (_path3_coefficients({(0, 2): 1.0}), "symmetric"),
+        (_path3_coefficients({(0, 1): np.inf, (1, 0): np.inf}), "non-finite"),
+        (_path3_coefficients({(0, 2): np.nan, (2, 0): np.nan}), "non-finite"),
+        (_path3_coefficients({(1, 1): -np.inf}), "non-finite"),
+        (np.eye(2), "coefficient matrix is"),
+        (np.ones(3), "coefficient matrix is"),
+    ],
+)
+def test_encode_rejects_bad_coefficients(q, match):
+    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=match):
+        encode(q, np.arange(3), g)
+
+
+@pytest.mark.parametrize("sigma", [[0, 0, 1], [0, 1], [0, 1, 3], [[0, 1, 2]]])
+def test_encode_rejects_non_permutation(sigma):
+    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="permutation"):
+        encode(_path3_coefficients(), np.array(sigma), g)
+
+
 def test_decode_identity_and_swap():
     np.testing.assert_array_equal(decode(np.array([1, -1]), np.arange(2)), [1, -1])
     np.testing.assert_array_equal(decode(np.array([1, -1]), np.array([1, 0])), [-1, 1])

@@ -1,0 +1,98 @@
+"""Property tests: the unchecked constructors only ever build what the checks accept.
+
+``encode``, ``scale_to_ranges`` and ``tabu_update`` build their results
+without ``WeightMatrix``'s or ``TabuMatrix``'s checks. Each property passes
+those results back through the public constructor, which must accept them.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from qals import (
+    TabuMatrix,
+    WeightMatrix,
+    chimera_graph,
+    complete_graph,
+    decode,
+    encode,
+    graph_from_edge_list,
+    scale_to_ranges,
+    tabu_update,
+)
+
+MAX_N = 10
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def graphs(draw):
+    kind = draw(st.sampled_from(["complete", "chimera:1", "edges"]))
+    if kind == "complete":
+        return complete_graph(draw(st.integers(1, MAX_N)))
+    if kind == "chimera:1":
+        return chimera_graph(1)
+    n = draw(st.integers(1, MAX_N))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return graph_from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+def symmetric(draw, n):
+    a = draw(arrays(np.float64, (n, n), elements=finite))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def spins(draw, n):
+    return draw(arrays(np.int8, n, elements=st.sampled_from([-1, 1])))
+
+
+@given(st.data())
+def test_encode_output_passes_the_public_checks(data):
+    graph = data.draw(graphs())
+    n = graph.n
+    q = symmetric(data.draw, n)
+    sigma = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    theta = encode(q, sigma, graph)
+    checked = WeightMatrix(theta.theta, graph)
+    np.testing.assert_array_equal(checked.theta, theta.theta)
+    assert theta.theta.dtype == np.float64
+    # the placement: entry (i, j) lands at (sigma[i], sigma[j]) when it is on the support
+    kept = graph.adjacency_mask[np.ix_(sigma, sigma)] * q
+    np.testing.assert_array_equal(theta.theta[np.ix_(sigma, sigma)], kept)
+    # decode inverts it: reading the qubits back by sigma gives the logical order
+    z = spins(data.draw, n)
+    y = np.empty(n, dtype=np.int8)
+    y[sigma] = z
+    np.testing.assert_array_equal(decode(y, sigma), z)
+
+
+@given(st.data())
+def test_scaled_weights_pass_the_public_checks(data):
+    graph = data.draw(graphs())
+    theta = encode(symmetric(data.draw, graph.n), np.arange(graph.n), graph)
+    delta = data.draw(st.floats(1e-3, 1e3))
+    gamma = data.draw(st.floats(1e-3, 1e3))
+    scaled = scale_to_ranges(theta, delta, gamma)
+    WeightMatrix(scaled.theta, graph)
+    assert np.abs(scaled.biases).max() <= delta * (1 + 1e-15)
+    assert np.abs(np.triu(scaled.theta, 1)).max() <= gamma * (1 + 1e-15)
+
+
+@given(st.data())
+def test_tabu_update_folds_pass_the_public_checks(data):
+    n = data.draw(st.integers(1, MAX_N))
+    zs = [spins(data.draw, n) for _ in range(data.draw(st.integers(1, 12)))]
+    s = TabuMatrix.zeros(n)
+    for z in zs:
+        s = tabu_update(s, z)
+        assert np.all(np.abs(s.s) <= s.m)
+        assert np.all(s.s % 2 == s.m % 2)
+    checked = TabuMatrix(s.s, s.m)
+    np.testing.assert_array_equal(checked.s, s.s)
+    assert s.s.dtype == np.int64 and s.m == len(zs)
+    closed = sum(
+        np.outer(z, z).astype(np.int64) - np.eye(n, dtype=np.int64) + np.diag(z.astype(np.int64))
+        for z in zs
+    )
+    np.testing.assert_array_equal(s.s, closed)

@@ -63,6 +63,12 @@ class _Service:
                     info["max_nodes"] = 16.0
                 elif service.mode == "non_string_topology":
                     info["topology"] = ["complete"]
+                elif service.mode == "string_delta":
+                    info["delta"] = "2.0"
+                elif service.mode == "boolean_gamma":
+                    info["gamma"] = True
+                elif service.mode == "overflowing_delta":
+                    info["delta"] = 10**400  # a JSON integer beyond every float
                 self._send(200, info)
 
             def do_POST(self):
@@ -210,7 +216,9 @@ def test_invalid_sample_payload_rejected(mode):
             RemoteSampler(svc.url).sample(toy_weights(), 2)
 
 
-@pytest.mark.parametrize("mode", ["nan_delta", "nan_gamma", "infinite_max_nodes"])
+@pytest.mark.parametrize(
+    "mode", ["nan_delta", "nan_gamma", "overflowing_delta", "infinite_max_nodes"]
+)
 def test_non_finite_info_rejected(mode):
     with _Service(mode=mode) as svc:
         with pytest.raises(MalformedResponseError):
@@ -218,7 +226,14 @@ def test_non_finite_info_rejected(mode):
 
 
 @pytest.mark.parametrize(
-    "mode", ["fractional_max_nodes", "boolean_max_nodes", "non_string_topology"]
+    "mode",
+    [
+        "fractional_max_nodes",
+        "boolean_max_nodes",
+        "non_string_topology",
+        "string_delta",
+        "boolean_gamma",
+    ],
 )
 def test_ill_typed_info_rejected(mode):
     with _Service(mode=mode) as svc:
@@ -233,7 +248,15 @@ def test_integral_float_max_nodes_accepted():
 
 
 @pytest.mark.parametrize(
-    "mode", ["fractional_spin", "nan_delta", "fractional_max_nodes", "string_energies"]
+    "mode",
+    [
+        "fractional_spin",
+        "nan_delta",
+        "fractional_max_nodes",
+        "string_energies",
+        "string_delta",
+        "boolean_gamma",
+    ],
 )
 def test_invalid_payload_exits_two(mode, tmp_path):
     path = tmp_path / "pair.qubo"

@@ -423,6 +423,13 @@ def test_scale_biases_down():
     np.testing.assert_array_equal(out.theta, np.diag([2.0, 0.0]))
 
 
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (2.0, -1.0), (np.nan, 1.0), (2.0, np.inf)])
+def test_scale_rejects_bounds_that_are_not_positive_and_finite(bounds):
+    w = weights(np.array([[4.0, 0.5], [0.5, 0.0]]), complete_graph(2))
+    with pytest.raises(ValueError, match="positive and finite"):
+        scale_to_ranges(w, *bounds)
+
+
 def test_scale_zero_matrix_unchanged():
     g = complete_graph(3)
     w = weights(np.zeros((3, 3)), g)
