@@ -12,12 +12,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 
 from qals import (
+    ExactSampler,
     RemoteSampler,
     WeightMatrix,
     complete_graph,
     energy,
     estimate_argmin,
-    exact_sample,
 )
 
 GRAPH = complete_graph(4)
@@ -45,7 +45,7 @@ class ToyAnnealerHandler(BaseHTTPRequestHandler):
         for i, j, v in request["couplings"]:
             theta[i, j] = theta[j, i] = v
         w = WeightMatrix(theta, complete_graph(n))
-        samples = exact_sample(w, request["num_reads"], np.random.default_rng(0))
+        samples = ExactSampler().sample(w, request["num_reads"], np.random.default_rng(0))
         self._reply(
             {
                 "samples": [[int(v) for v in s] for s in samples],

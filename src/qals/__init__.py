@@ -15,13 +15,9 @@ from .core import (
     TabuMatrix,
     TopologyGraph,
     WeightMatrix,
-    as_spins,
-    conjugate_tabu,
     decode,
     encode,
     energy,
-    identity_permutation,
-    is_permutation,
     objective,
     tabu_init,
     tabu_update,
@@ -46,20 +42,9 @@ from .samplers import (
     TransportError,
     estimate_argmin,
     exact_minimizers,
-    exact_sample,
-    metropolis_sample,
-    random_sample,
-    remote_sample,
     scale_to_ranges,
 )
-from .solver import (
-    accept_suboptimal,
-    modify_permutation,
-    perturb_candidate,
-    solve,
-    update_lambda,
-    update_p,
-)
+from .solver import solve
 from .topology import (
     chimera_graph,
     complete_graph,

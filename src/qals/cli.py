@@ -7,6 +7,7 @@ failures. Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -43,16 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="complete | chimera:<m> | file:<path>")
     p_solve.add_argument("--sampler", default="sa",
                          help="exact | sa | random | remote:<url>")
-    p_solve.add_argument("--k", type=int, default=10, help="annealer reads per estimate")
-    p_solve.add_argument("--p-delta", type=float, default=0.1)
-    p_solve.add_argument("--eta", type=float, default=0.01)
-    p_solve.add_argument("--q", type=float, default=0.2)
-    p_solve.add_argument("--N", type=int, default=10)
-    p_solve.add_argument("--lambda0", type=float, default=1.0)
-    p_solve.add_argument("--i-max", type=int, default=1000)
-    p_solve.add_argument("--n-max", type=int, default=100)
-    p_solve.add_argument("--d-min", type=int, default=20)
-    p_solve.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(QalsParams):
+        flag = "--n-max" if f.name == "N_max" else "--" + f.name.replace("_", "-")
+        p_solve.add_argument(flag, type=type(f.default), default=f.default, dest=f.name,
+                             help=f"QalsParams.{f.name} (default %(default)s)")
     p_solve.add_argument("--trace", action="store_true",
                          help="record per-iteration state in the report")
     p_solve.add_argument("--json", action="store_true",
@@ -75,18 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     problem = load_qubo_file(args.file)
-    params = QalsParams(
-        p_delta=args.p_delta,
-        eta=args.eta,
-        q=args.q,
-        N=args.N,
-        lambda0=args.lambda0,
-        k=args.k,
-        i_max=args.i_max,
-        N_max=args.n_max,
-        d_min=args.d_min,
-        seed=args.seed,
-    )
+    params = QalsParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(QalsParams)})
     graph = make_graph(args.graph, problem.n)
     sampler = make_sampler(args.sampler)
     report = solve(problem, graph, sampler, params, record_trace=args.trace)

@@ -7,6 +7,7 @@ Permutations are 1-D integer arrays holding the image of each index:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -29,11 +30,30 @@ def as_spins(values) -> np.ndarray:
 
 def is_permutation(sigma: np.ndarray) -> bool:
     sigma = np.asarray(sigma)
+    if sigma.dtype.kind not in "iu":  # a float sigma cannot index, a boolean one indexes as a mask
+        return False
     return sigma.ndim == 1 and bool((np.sort(sigma) == np.arange(sigma.size)).all())
 
 
 def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
+
+
+def _checked_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
+    """``a`` as float64, checked to be square, finite and exactly symmetric.
+
+    The shape must be (n, n) when ``n`` is given, else (m, m) for any m >= 1.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    square = a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
+    if not square or (n is not None and a.shape[0] != n):
+        expected = "a square matrix" if n is None else f"({n}, {n})"
+        raise ValueError(f"{name} is {a.shape}, expected {expected}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if not (a == a.T).all():
+        raise ValueError(f"{name} must be symmetric")
+    return a
 
 
 @dataclass
@@ -43,14 +63,7 @@ class QuboProblem:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
-            raise ValueError("Q must be a square matrix with n >= 1")
-        if not np.isfinite(q).all():
-            raise ValueError("Q has non-finite entries")
-        if not np.array_equal(q, q.T):
-            raise ValueError("Q must be symmetric")
-        self.q = q
+        self.q = _checked_symmetric(self.q, "Q")
 
     @property
     def n(self) -> int:
@@ -138,14 +151,7 @@ class WeightMatrix:
     graph: TopologyGraph
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        n = self.graph.n
-        if theta.shape != (n, n):
-            raise ValueError("weight matrix shape does not match graph")
-        if not np.isfinite(theta).all():
-            raise ValueError("weight matrix has non-finite entries")
-        if not np.array_equal(theta, theta.T):
-            raise ValueError("weight matrix must be symmetric")
+        theta = _checked_symmetric(self.theta, "weight matrix", self.graph.n)
         off_support = (self.graph.adjacency_mask == 0) & (theta != 0.0)
         if off_support.any():
             raise ValueError("weight matrix has couplings outside the edge set")
@@ -232,8 +238,8 @@ class QalsParams:
             raise ValueError("eta must lie in (0, 1)")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
-        if self.lambda0 <= 0.0:
-            raise ValueError("lambda0 must be positive")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError("lambda0 must be positive and finite")
         for name in ("N", "k", "i_max", "N_max", "d_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -376,14 +382,8 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     keeps it symmetric and finite, and the multiply by the adjacency mask
     zeroes every coupling outside the edge set.
     """
-    qprime = np.asarray(qprime, dtype=np.float64)
     n = graph.n
-    if qprime.shape != (n, n):
-        raise ValueError(f"coefficient matrix is {qprime.shape}, graph has {n} nodes")
-    if not np.isfinite(qprime).all():
-        raise ValueError("coefficient matrix has non-finite entries")
-    if not (qprime == qprime.T).all():
-        raise ValueError("coefficient matrix must be symmetric")
+    qprime = _checked_symmetric(qprime, "coefficient matrix", n)
     sigma = np.asarray(sigma)
     if sigma.size != n or not is_permutation(sigma):
         raise ValueError("sigma is not a permutation of the graph's nodes")

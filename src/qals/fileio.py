@@ -90,18 +90,7 @@ _SPEC_KEYS = {
     "backend": str,
     "graph": str,
 }
-_PARAM_KEYS = {
-    "p_delta": float,
-    "eta": float,
-    "q": float,
-    "N": int,
-    "lambda0": float,
-    "k": int,
-    "i_max": int,
-    "N_max": int,
-    "d_min": int,
-    "seed": int,
-}
+_PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(QalsParams)}
 
 
 def parse_experiment_config(text: str) -> ExperimentSpec:

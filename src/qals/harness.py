@@ -14,7 +14,6 @@ from .samplers import (
     MetropolisSampler,
     RandomSampler,
     RemoteSampler,
-    SaSchedule,
     enumerate_minima,
     spins_at,
 )
@@ -121,7 +120,7 @@ def make_sampler(selector: str):
     if selector == "exact":
         return ExactSampler()
     if selector == "sa":
-        return MetropolisSampler(SaSchedule())
+        return MetropolisSampler()
     if selector == "random":
         return RandomSampler()
     if selector.startswith("remote:"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -143,18 +143,22 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     return spins_at(theta.n, indices), emin
 
 
-def exact_sample(theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Return k states drawn uniformly from the exact minimizer set.
+@dataclass
+class ExactSampler:
+    """Oracle backend: every sample is a true minimizer of the landscape."""
 
-    The set is ``exact_minimizers``' (ties within the rounding slack), and
-    the draw is one ``rng.integers(0, count, size=k)`` call. Holds one
-    enumeration block plus 16 bytes per minimizer.
-    """
-    _check_enumerable(theta.n)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    indices, _ = enumerate_minima(theta.theta)
-    return spins_at(theta.n, indices[rng.integers(0, indices.size, size=k)])
+    def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
+        """Return k states drawn uniformly from the exact minimizer set.
+
+        The set is ``exact_minimizers``' (ties within the rounding slack), and
+        the draw is one ``rng.integers(0, count, size=k)`` call. Holds one
+        enumeration block plus 16 bytes per minimizer.
+        """
+        _check_enumerable(theta.n)
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        indices, _ = enumerate_minima(theta.theta)
+        return spins_at(theta.n, indices[rng.integers(0, indices.size, size=k)])
 
 
 @dataclass
@@ -201,57 +205,65 @@ def _auto_beta_range(theta: np.ndarray) -> tuple[float, float]:
     return hot, cold
 
 
-def metropolis_sample(
-    theta: WeightMatrix, k: int, schedule: SaSchedule, rng: np.random.Generator
-) -> np.ndarray:
-    """Run k independent annealed Metropolis chains and return their endpoints.
+@dataclass
+class MetropolisSampler:
+    """Classical annealed-chain surrogate for the hardware."""
 
-    Each chain starts from a uniform random state and performs one single-spin
-    update per variable per sweep; the flip cost uses only the spin's bias and
-    incident couplings. A sweep visits the graph's colour classes in order and
-    flips each class in one vectorised step: no two spins of a class share an
-    edge, so this is the same dynamics as visiting them one by one. The k
-    chains advance in lockstep so the whole call is one deterministic function
-    of the rng state. A class draws its uniforms spin-major, so when the
-    classes are ascending runs of consecutive indices (every complete graph,
-    ``chimera:1``) the rng is consumed exactly as by a per-spin sweep in index
-    order.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    classes = theta.graph.colour_classes
-    order = np.concatenate(classes)
-    bounds = np.cumsum([0] + [c.size for c in classes])
-    # Permute once so that every class is a contiguous block of columns.
-    couplings = theta.theta[np.ix_(order, order)]
-    np.fill_diagonal(couplings, 0.0)
-    biases = theta.biases[order]
+    schedule: SaSchedule = field(default_factory=SaSchedule)
 
-    states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
-    steps = [
-        (states[:, lo:hi], couplings[:, lo:hi], biases[lo:hi], slice(lo, hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    for beta in schedule.betas(theta):
-        # One draw per sweep: the classes are contiguous blocks of rows, so
-        # each slice holds the values a per-class rng.random((size, k)) would.
-        uniforms = rng.random((theta.n, k))
-        for spins, columns, bias, rows in steps:
-            # x = s * (local field) is minus half the flip cost, so the
-            # acceptance probability min(1, exp(-beta * cost)) is exp(2 beta min(x, 0))
-            x = spins * (bias + states @ columns)
-            np.minimum(x, 0.0, out=x)
-            x *= 2.0 * beta
-            accept = uniforms[rows].T < np.exp(x, out=x)
-            np.negative(spins, out=spins, where=accept)
-    return states[:, np.argsort(order)].astype(SPIN_DTYPE)
+    def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
+        """Run k independent annealed Metropolis chains and return their endpoints.
+
+        Each chain starts from a uniform random state and performs one single-spin
+        update per variable per sweep; the flip cost uses only the spin's bias and
+        incident couplings. A sweep visits the graph's colour classes in order and
+        flips each class in one vectorised step: no two spins of a class share an
+        edge, so this is the same dynamics as visiting them one by one. The k
+        chains advance in lockstep so the whole call is one deterministic function
+        of the rng state. A class draws its uniforms spin-major, so when the
+        classes are ascending runs of consecutive indices (every complete graph,
+        ``chimera:1``) the rng is consumed exactly as by a per-spin sweep in index
+        order.
+        """
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        classes = theta.graph.colour_classes
+        order = np.concatenate(classes)
+        bounds = np.cumsum([0] + [c.size for c in classes])
+        # Permute once so that every class is a contiguous block of columns.
+        couplings = theta.theta[np.ix_(order, order)]
+        np.fill_diagonal(couplings, 0.0)
+        biases = theta.biases[order]
+
+        states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
+        steps = [
+            (states[:, lo:hi], couplings[:, lo:hi], biases[lo:hi], slice(lo, hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        for beta in self.schedule.betas(theta):
+            # One draw per sweep: the classes are contiguous blocks of rows, so
+            # each slice holds the values a per-class rng.random((size, k)) would.
+            uniforms = rng.random((theta.n, k))
+            for spins, columns, bias, rows in steps:
+                # x = s * (local field) is minus half the flip cost, so the
+                # acceptance probability min(1, exp(-beta * cost)) is exp(2 beta min(x, 0))
+                x = spins * (bias + states @ columns)
+                np.minimum(x, 0.0, out=x)
+                x *= 2.0 * beta
+                accept = uniforms[rows].T < np.exp(x, out=x)
+                np.negative(spins, out=spins, where=accept)
+        return states[:, np.argsort(order)].astype(SPIN_DTYPE)
 
 
-def random_sample(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k uniform random spin vectors."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return (2 * rng.integers(0, 2, size=(k, n)) - 1).astype(SPIN_DTYPE)
+@dataclass
+class RandomSampler:
+    """Worst-case backend: ignores the landscape entirely."""
+
+    def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
+        """k uniform random spin vectors."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        return (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(SPIN_DTYPE)
 
 
 def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMatrix:
@@ -300,36 +312,6 @@ def estimate_argmin(
     """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
     return samples[int(np.argmin(energies(theta.theta, samples)))]
-
-
-@dataclass
-class ExactSampler:
-    """Oracle backend: every sample is a true minimizer of the landscape."""
-
-    def sample(self, theta, k, rng):
-        return exact_sample(theta, k, rng)
-
-
-@dataclass
-class MetropolisSampler:
-    """Classical annealed-chain surrogate for the hardware."""
-
-    schedule: SaSchedule = None
-
-    def __post_init__(self):
-        if self.schedule is None:
-            self.schedule = SaSchedule()
-
-    def sample(self, theta, k, rng):
-        return metropolis_sample(theta, k, self.schedule, rng)
-
-
-@dataclass
-class RandomSampler:
-    """Worst-case backend: ignores the landscape entirely."""
-
-    def sample(self, theta, k, rng):
-        return random_sample(theta.n, k, rng)
 
 
 class RemoteSampler:
@@ -443,8 +425,3 @@ class RemoteSampler:
         if not np.all(np.abs(samples) == 1):
             raise MalformedResponseError("service returned entries other than -1/+1")
         return samples.astype(SPIN_DTYPE)
-
-
-def remote_sample(endpoint: str, theta: WeightMatrix, k: int) -> np.ndarray:
-    """One-shot convenience wrapper around RemoteSampler."""
-    return RemoteSampler(endpoint).sample(theta, k)

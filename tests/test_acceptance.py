@@ -18,11 +18,8 @@ from qals import (
     RandomSampler,
     TabuMatrix,
     WeightMatrix,
-    accept_suboptimal,
-    as_spins,
     chimera_graph,
     complete_graph,
-    conjugate_tabu,
     energy,
     estimate_argmin,
     exact_minimizers,
@@ -31,10 +28,11 @@ from qals import (
     solve,
     tabu_init,
     tabu_update,
-    update_p,
 )
+from qals.core import as_spins, conjugate_tabu
 from qals.fileio import solve_report_to_json
 from qals.harness import brute_force_min
+from qals.solver import accept_suboptimal, update_p
 
 
 def criterion(number, label):

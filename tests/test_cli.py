@@ -1,11 +1,13 @@
 """The qals command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from qals import QalsParams, cli, solve
 from qals.cli import main
-from qals.fileio import parse_qubo_file
+from qals.fileio import parse_experiment_config, parse_qubo_file
 
 PAIR = "qubo 2\n0 1 1.0\n"
 
@@ -97,6 +99,50 @@ def test_non_finite_instance_exits_one(tmp_path, capsys, value, command):
     path.write_text(f"qubo 2\n0 1 {value}\n")
     assert main([command[0], str(path), *command[1:]]) == 1
     assert "line 2: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda0_exits_one(pair_file, capsys, value):
+    assert main(["solve", pair_file, "--lambda0", value]) == 1
+    assert "lambda0" in capsys.readouterr().err
+
+
+# one valid non-default value per QalsParams field, with the flag that sets it
+PARAM_VALUES = {
+    "p_delta": ("--p-delta", 0.25),
+    "eta": ("--eta", 0.5),
+    "q": ("--q", 0.75),
+    "N": ("--N", 3),
+    "lambda0": ("--lambda0", 2.5),
+    "k": ("--k", 4),
+    "i_max": ("--i-max", 7),
+    "N_max": ("--n-max", 9),
+    "d_min": ("--d-min", 5),
+    "seed": ("--seed", 11),
+}
+
+
+def test_every_param_field_has_a_solve_flag_and_a_config_key(pair_file, monkeypatch, capsys):
+    fields = dataclasses.fields(QalsParams)
+    assert [f.name for f in fields] == list(PARAM_VALUES)
+    expected = QalsParams(**{name: value for name, (_, value) in PARAM_VALUES.items()})
+    captured = []
+
+    def capturing_solve(problem, graph, sampler, params, record_trace=False):
+        captured.append(params)
+        return solve(problem, graph, sampler, params, record_trace)
+
+    monkeypatch.setattr(cli, "solve", capturing_solve)
+    argv = ["solve", pair_file, "--sampler", "exact"]
+    for flag, value in PARAM_VALUES.values():
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    config = "n = 2\n" + "".join(f"{name} = {value}\n" for name, (_, value) in PARAM_VALUES.items())
+    for params in (captured[0], parse_experiment_config(config).params):
+        assert params == expected
+        for f in fields:
+            assert type(getattr(params, f.name)) is type(f.default), f.name
 
 
 def test_unknown_sampler_exits_one(pair_file, capsys):

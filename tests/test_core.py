@@ -10,18 +10,16 @@ from qals import (
     QuboProblem,
     TabuMatrix,
     WeightMatrix,
-    as_spins,
     complete_graph,
-    conjugate_tabu,
     decode,
     encode,
     energy,
     graph_from_edge_list,
-    is_permutation,
     objective,
     tabu_init,
     tabu_update,
 )
+from qals.core import as_spins, conjugate_tabu, is_permutation
 
 
 def all_spins(n):
@@ -288,11 +286,22 @@ def test_encode_rejects_bad_coefficients(q, match):
         encode(q, np.arange(3), g)
 
 
-@pytest.mark.parametrize("sigma", [[0, 0, 1], [0, 1], [0, 1, 3], [[0, 1, 2]]])
+@pytest.mark.parametrize(
+    "sigma", [[0, 0, 1], [0, 1], [0, 1, 3], [[0, 1, 2]], [0.0, 1.0, 2.0], [True, False, True]]
+)
 def test_encode_rejects_non_permutation(sigma):
     g = graph_from_edge_list(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="permutation"):
         encode(_path3_coefficients(), np.array(sigma), g)
+
+
+# [1.0, 0.0] and [True, False] sort equal to [0, 1], but neither indexes as a permutation
+@pytest.mark.parametrize("sigma", [[1.0, 0.0], [True, False]])
+def test_decode_and_conjugate_reject_non_integer_sigma(sigma):
+    with pytest.raises(ValueError, match="permutation"):
+        decode(np.array([1, -1]), np.array(sigma))
+    with pytest.raises(ValueError, match="permutation"):
+        conjugate_tabu(tabu_init(np.array([1, -1])), np.array(sigma))
 
 
 def test_decode_identity_and_swap():
@@ -372,3 +381,6 @@ def test_params_validation():
         QalsParams(i_max=0)
     with pytest.raises(ValueError):
         QalsParams(lambda0=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda0"):
+            QalsParams(lambda0=bad)

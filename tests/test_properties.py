@@ -1,8 +1,9 @@
-"""Property tests: the unchecked constructors only ever build what the checks accept.
+"""Property tests.
 
 ``encode``, ``scale_to_ranges`` and ``tabu_update`` build their results
 without ``WeightMatrix``'s or ``TabuMatrix``'s checks. Each property passes
 those results back through the public constructor, which must accept them.
+The instance file format round-trips every finite symmetric matrix exactly.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qals import (
+    QuboProblem,
     TabuMatrix,
     WeightMatrix,
     chimera_graph,
@@ -21,6 +23,7 @@ from qals import (
     scale_to_ranges,
     tabu_update,
 )
+from qals.fileio import format_qubo_file, parse_qubo_file
 
 MAX_N = 10
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
@@ -38,8 +41,8 @@ def graphs(draw):
     return graph_from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
 
 
-def symmetric(draw, n):
-    a = draw(arrays(np.float64, (n, n), elements=finite))
+def symmetric(draw, n, elements=finite):
+    a = draw(arrays(np.float64, (n, n), elements=elements))
     return np.triu(a) + np.triu(a, 1).T
 
 
@@ -96,3 +99,11 @@ def test_tabu_update_folds_pass_the_public_checks(data):
         for z in zs
     )
     np.testing.assert_array_equal(s.s, closed)
+
+
+@given(st.data())
+def test_qubo_file_roundtrip_is_exact(data):
+    n = data.draw(st.integers(1, MAX_N))
+    q = symmetric(data.draw, n, elements=st.floats(allow_nan=False, allow_infinity=False))
+    problem = QuboProblem(q)
+    np.testing.assert_array_equal(parse_qubo_file(format_qubo_file(problem)).q, problem.q)

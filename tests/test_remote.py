@@ -9,13 +9,15 @@ import pytest
 
 from qals import (
     CapacityError,
+    ExactSampler,
     MalformedResponseError,
+    MetropolisSampler,
+    RandomSampler,
     RemoteSampler,
     SampleShapeError,
     TransportError,
     WeightMatrix,
     complete_graph,
-    remote_sample,
 )
 from qals.cli import main
 
@@ -199,9 +201,21 @@ def test_unreachable_endpoint():
         sampler.sample(toy_weights(), 1)
 
 
+@pytest.mark.parametrize("make", [ExactSampler, MetropolisSampler, RandomSampler, RemoteSampler])
+def test_sampler_contract(make):
+    # every backend: (k, n) rows of -1/+1, and the same rows for the same rng state
+    with _Service() as svc:
+        sampler = make(svc.url) if make is RemoteSampler else make()
+        first = sampler.sample(toy_weights(), 5, np.random.default_rng(8))
+        again = sampler.sample(toy_weights(), 5, np.random.default_rng(8))
+    assert first.shape == (5, 3) and first.dtype == np.int8
+    assert (np.abs(first) == 1).all()
+    np.testing.assert_array_equal(first, again)
+
+
 def test_one_shot_helper():
     with _Service() as svc:
-        out = remote_sample(svc.url, toy_weights(), 2)
+        out = RemoteSampler(svc.url).sample(toy_weights(), 2)
         assert out.shape == (2, 3)
 
 

@@ -18,10 +18,7 @@ from qals import (
     energy,
     estimate_argmin,
     exact_minimizers,
-    exact_sample,
     graph_from_edge_list,
-    metropolis_sample,
-    random_sample,
     scale_to_ranges,
 )
 
@@ -30,6 +27,10 @@ TOY = np.array([[1.0, -1.0], [-1.0, -1.0]])  # E(z) = z1 - z2 - z1 z2
 
 def weights(theta, graph):
     return WeightMatrix(np.asarray(theta, dtype=float), graph)
+
+
+def zero_weights(n):
+    return weights(np.zeros((n, n)), complete_graph(n))
 
 
 def random_weights(rng, graph, integer=False, lo=-3, hi=3):
@@ -52,7 +53,7 @@ def test_exact_minimizers_toy():
 
 def test_exact_sample_independent_biases():
     w = weights(np.diag([1.0, 1.0]), complete_graph(2))
-    samples = exact_sample(w, 5, np.random.default_rng(0))
+    samples = ExactSampler().sample(w, 5, np.random.default_rng(0))
     for s in samples:
         np.testing.assert_array_equal(s, [-1, -1])
         assert energy(w, s) == -2.0
@@ -63,7 +64,7 @@ def test_exact_sample_uniform_over_argmin_set():
     rng = np.random.default_rng(123)
     counts = {}
     draws = 3000
-    samples = exact_sample(w, draws, rng)
+    samples = ExactSampler().sample(w, draws, rng)
     for s in samples:
         counts[tuple(int(v) for v in s)] = counts.get(tuple(int(v) for v in s), 0) + 1
     assert set(counts) == {(1, 1), (-1, 1), (-1, -1)}
@@ -75,7 +76,7 @@ def test_exact_sample_uniform_over_argmin_set():
 def test_exact_sample_unique_minimum_repeats():
     rng = np.random.default_rng(8)
     w = random_weights(rng, complete_graph(6))
-    samples = exact_sample(w, 7, rng)
+    samples = ExactSampler().sample(w, 7, rng)
     assert all(np.array_equal(samples[0], s) for s in samples)
 
 
@@ -85,7 +86,7 @@ def test_exact_sample_never_above_enumerated_minimum():
         w = random_weights(rng, complete_graph(5), integer=True)
         ms, emin = exact_minimizers(w)
         ground = {tuple(int(v) for v in row) for row in ms}
-        for s in exact_sample(w, 4, rng):
+        for s in ExactSampler().sample(w, 4, rng):
             assert tuple(int(v) for v in s) in ground
             assert energy(w, s) == emin
 
@@ -104,12 +105,12 @@ def test_exact_sample_chunked_matches_single_block():
     np.fill_diagonal(ties, 0.0)
     w_ties = weights(ties, complete_graph(8))
     problem = QuboProblem(ties)
-    one_block = [exact_sample(v, 6, np.random.default_rng(2)) for v in (w, w_ties)]
+    one_block = [ExactSampler().sample(v, 6, np.random.default_rng(2)) for v in (w, w_ties)]
     z_one_block, f_one_block = brute_force_min(problem)
     old = sam._BLOCK_BITS
     sam._BLOCK_BITS = 5  # blocks of 32 states
     try:
-        chunked = [exact_sample(v, 6, np.random.default_rng(2)) for v in (w, w_ties)]
+        chunked = [ExactSampler().sample(v, 6, np.random.default_rng(2)) for v in (w, w_ties)]
         z_chunked, f_chunked = brute_force_min(problem)
     finally:
         sam._BLOCK_BITS = old
@@ -154,7 +155,7 @@ def test_exact_minimizers_keep_ties_on_decimal_weights():
         ms, emin = exact_minimizers(w)
         np.testing.assert_array_equal(ms, sam.spins_at(w.n, np.array(expected)))
         assert emin == energy(w, ms[0])
-    drawn = {tuple(s) for s in exact_sample(instances[0], 200, np.random.default_rng(0))}
+    drawn = {tuple(s) for s in ExactSampler().sample(instances[0], 200, np.random.default_rng(0))}
     assert drawn == {(-1, -1, -1), (-1, 1, -1), (-1, 1, 1)}
 
 
@@ -193,26 +194,26 @@ def test_exact_sample_capacity_guard():
     g = complete_graph(25)
     w = weights(np.zeros((25, 25)), g)
     with pytest.raises(CapacityError):
-        exact_sample(w, 1, np.random.default_rng(0))
+        ExactSampler().sample(w, 1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------- random backend
 
 
 def test_random_sample_shape_and_values():
-    s = random_sample(6, 9, np.random.default_rng(0))
+    s = RandomSampler().sample(zero_weights(6), 9, np.random.default_rng(0))
     assert s.shape == (9, 6)
     assert np.all(np.abs(s) == 1)
 
 
 def test_random_sample_reproducible():
-    a = random_sample(5, 4, np.random.default_rng(42))
-    b = random_sample(5, 4, np.random.default_rng(42))
+    a = RandomSampler().sample(zero_weights(5), 4, np.random.default_rng(42))
+    b = RandomSampler().sample(zero_weights(5), 4, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
 def test_random_sample_balanced():
-    s = random_sample(1, 10_000, np.random.default_rng(3))
+    s = RandomSampler().sample(zero_weights(1), 10_000, np.random.default_rng(3))
     assert abs(float(s.mean())) < 0.05
 
 
@@ -231,7 +232,7 @@ def test_metropolis_reaches_ground_state_of_cell_instances():
         w = random_weights(rng, graph, integer=True)
         ms, _ = exact_minimizers(w)
         ground = {tuple(int(v) for v in row) for row in ms}
-        for s in metropolis_sample(w, 2, schedule, rng):
+        for s in MetropolisSampler(schedule).sample(w, 2, rng):
             total += 1
             hits += tuple(int(v) for v in s) in ground
     assert hits / total >= 0.95
@@ -242,19 +243,20 @@ def test_metropolis_never_below_exact_minimum():
     for _ in range(15):
         w = random_weights(rng, complete_graph(7))
         _, emin = exact_minimizers(w)
-        for s in metropolis_sample(w, 3, SaSchedule(sweeps=50), rng):
+        for s in MetropolisSampler(SaSchedule(sweeps=50)).sample(w, 3, rng):
             assert energy(w, s) >= emin - 1e-9
 
 
 def test_metropolis_constant_temperature_is_valid():
     w = weights(TOY, complete_graph(2))
-    s = metropolis_sample(w, 4, SaSchedule(sweeps=10, beta_start=2.0, beta_end=2.0), np.random.default_rng(0))
+    schedule = SaSchedule(sweeps=10, beta_start=2.0, beta_end=2.0)
+    s = MetropolisSampler(schedule).sample(w, 4, np.random.default_rng(0))
     assert s.shape == (4, 2)
 
 
 def test_metropolis_flat_landscape_is_uniform():
     w = weights(np.zeros((3, 3)), complete_graph(3))
-    samples = metropolis_sample(w, 4000, SaSchedule(sweeps=3), np.random.default_rng(9))
+    samples = MetropolisSampler(SaSchedule(sweeps=3)).sample(w, 4000, np.random.default_rng(9))
     seen = {}
     for s in samples:
         seen[tuple(int(v) for v in s)] = seen.get(tuple(int(v) for v in s), 0) + 1
@@ -279,7 +281,8 @@ def test_metropolis_matches_boltzmann_at_fixed_temperature():
     exact /= exact.sum()
     reads = 4000
     counts = np.zeros(16)
-    for s in metropolis_sample(w, reads, SaSchedule(sweeps=200, beta_start=beta, beta_end=beta), np.random.default_rng(11)):
+    schedule = SaSchedule(sweeps=200, beta_start=beta, beta_end=beta)
+    for s in MetropolisSampler(schedule).sample(w, reads, np.random.default_rng(11)):
         idx = sum(1 << (3 - i) for i in range(4) if s[i] == 1)
         counts[idx] += 1
     tv = 0.5 * np.abs(counts / reads - exact).sum()
@@ -315,7 +318,7 @@ def test_metropolis_matches_per_spin_sweep_on_consecutive_classes(graph, integer
         k = (1, 3, 10, 10)[seed]
         schedule = SaSchedule(sweeps=30) if seed < 3 else SaSchedule(5, 0.2, 4.0)
         expected = per_spin_sweeps(w, k, schedule, np.random.default_rng(seed))
-        got = metropolis_sample(w, k, schedule, np.random.default_rng(seed))
+        got = MetropolisSampler(schedule).sample(w, k, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, expected)
         assert got.dtype == expected.dtype
 
@@ -334,7 +337,8 @@ def test_metropolis_matches_boltzmann_on_interleaved_classes():
     exact = np.exp(-beta * energies(w.theta, states))
     exact /= exact.sum()
     reads = 20000
-    samples = metropolis_sample(w, reads, SaSchedule(sweeps=200, beta_start=beta, beta_end=beta), np.random.default_rng(11))
+    schedule = SaSchedule(sweeps=200, beta_start=beta, beta_end=beta)
+    samples = MetropolisSampler(schedule).sample(w, reads, np.random.default_rng(11))
     idx = ((samples == 1) * (1 << np.arange(5, -1, -1))).sum(axis=1)
     counts = np.bincount(idx, minlength=64)
     tv = 0.5 * np.abs(counts / reads - exact).sum()

@@ -13,21 +13,22 @@ from qals import (
     QuboProblem,
     RandomSampler,
     SamplerError,
-    accept_suboptimal,
     complete_graph,
     decode,
-    identity_permutation,
-    is_permutation,
-    modify_permutation,
     objective,
-    perturb_candidate,
     solve,
     tabu_init,
     tabu_update,
+)
+from qals.core import identity_permutation, is_permutation
+from qals.solver import (
+    _named_streams,
+    accept_suboptimal,
+    modify_permutation,
+    perturb_candidate,
     update_lambda,
     update_p,
 )
-from qals.solver import _named_streams
 
 
 # ------------------------------------------------------- permutation moves
