@@ -13,7 +13,6 @@ from .core import (
     QuboProblem,
     SolveReport,
     TabuMatrix,
-    TopologyGraph,
     WeightMatrix,
     decode,
     encode,
@@ -46,9 +45,9 @@ from .samplers import (
 )
 from .solver import solve
 from .topology import (
+    TopologyGraph,
     chimera_graph,
     complete_graph,
-    graph_from_edge_list,
     load_edge_list,
     parse_edge_list,
 )

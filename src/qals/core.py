@@ -8,12 +8,12 @@ Permutations are 1-D integer arrays holding the image of each index:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import count
+from functools import lru_cache
 
 import numpy as np
+
+from .topology import TopologyGraph, _integer
 
 SPIN_DTYPE = np.int8
 
@@ -71,75 +71,11 @@ class QuboProblem:
 
 
 @dataclass
-class TopologyGraph:
-    """Undirected hardware graph with a 0/1 adjacency mask (unit diagonal).
-
-    The diagonal of the mask is all ones so that encoding keeps linear bias
-    terms; off-diagonal entries are 1 exactly on the edge set.
-    """
-
-    n: int
-    edges: frozenset
-    adjacency_mask: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.adjacency_mask, dtype=np.float64)
-        if mask.shape != (self.n, self.n):
-            raise ValueError("adjacency mask shape does not match node count")
-        if not np.array_equal(mask, mask.T):
-            raise ValueError("adjacency mask must be symmetric")
-        if not np.all(np.diagonal(mask) == 1.0):
-            raise ValueError("adjacency mask must have a unit diagonal")
-        self.adjacency_mask = mask
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def degree(self, i: int) -> int:
-        return int(self.adjacency_mask[i].sum()) - 1
-
-    @cached_property
-    def colour_classes(self) -> tuple[np.ndarray, ...]:
-        """Independent sets partitioning the nodes, computed on first use.
-
-        Greedy smallest-free colouring in breadth-first order, one component
-        at a time from its lowest index, neighbours queued in index order.
-        A bipartite graph gets two classes and the complete graph n
-        singletons in index order. Class c holds the nodes of colour c in
-        increasing order.
-        """
-        neighbours = [[] for _ in range(self.n)]
-        for i, j in sorted(self.edges):  # leaves every neighbour list ascending
-            neighbours[i].append(j)
-            neighbours[j].append(i)
-        colour = [-1] * self.n
-        queued = [False] * self.n
-        for root in range(self.n):
-            if queued[root]:
-                continue
-            queued[root] = True
-            queue = deque([root])
-            while queue:
-                node = queue.popleft()
-                taken = {colour[v] for v in neighbours[node]}
-                colour[node] = next(c for c in count() if c not in taken)
-                for v in neighbours[node]:
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
-        colour = np.array(colour)
-        classes = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
-        for c in classes:
-            c.flags.writeable = False  # one cached copy is shared by every caller
-        return classes
-
-
-@dataclass
 class WeightMatrix:
     """Annealer weights: diagonal entries are biases, off-diagonal couplings.
 
-    Off-diagonal entries must vanish outside the support graph's edge set.
+    Off-diagonal entries must vanish outside the support graph's edge set,
+    that is wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
     The public constructor is the boundary: it checks the shape, that the
     entries are finite and symmetric, and the edge support. ``_trusted``
     skips those checks and is only for code that makes the invariants true
@@ -240,6 +176,8 @@ class QalsParams:
             raise ValueError("q must lie in (0, 1]")
         if not 0.0 < self.lambda0 < math.inf:
             raise ValueError("lambda0 must be positive and finite")
+        for name in ("N", "k", "i_max", "N_max", "d_min", "seed"):
+            setattr(self, name, _integer(getattr(self, name), name))
         for name in ("N", "k", "i_max", "N_max", "d_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -373,14 +311,16 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     """Map a symmetric coefficient matrix onto the hardware graph.
 
     Logical variable i is assigned to qubit sigma[i]; entries landing outside
-    the edge set are masked away (the unit diagonal keeps every bias).
+    the edge set are masked away by ``graph.adjacency_mask``, which the graph
+    derives from its edges (its unit diagonal keeps every bias).
 
     The inputs are checked: ``qprime`` must be (n, n), finite and symmetric
     (off-edge entries included) and ``sigma`` a permutation of the nodes.
     The result is then built without ``WeightMatrix``'s checks, because they
     hold by construction: placing a symmetric matrix under a permutation
-    keeps it symmetric and finite, and the multiply by the adjacency mask
-    zeroes every coupling outside the edge set.
+    keeps it symmetric and finite, and the multiply by the mask zeroes every
+    coupling outside the edge set, because the mask is 1 off the diagonal
+    exactly on the edges.
     """
     n = graph.n
     qprime = _checked_symmetric(qprime, "coefficient matrix", n)

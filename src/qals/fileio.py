@@ -154,18 +154,8 @@ def solve_report_to_json(report: SolveReport) -> str:
 
 
 def experiment_report_to_dict(report: ExperimentReport) -> dict:
-    spec = report.spec
     return {
-        "spec": {
-            "n": spec.n,
-            "density": spec.density,
-            "coeff_range": list(spec.coeff_range),
-            "replicas": spec.replicas,
-            "backend": spec.backend,
-            "graph": spec.graph,
-            "success_stats": spec.success_stats,
-            "params": dataclasses.asdict(spec.params),
-        },
+        "spec": dataclasses.asdict(report.spec),
         "oracle_value": report.oracle_value,
         "replicas": [dataclasses.asdict(r) for r in report.replicas],
         "aggregates": {

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import QalsParams, QuboProblem, TopologyGraph, objective
+from .core import QalsParams, QuboProblem, objective
 from .samplers import (
     ENUMERATION_LIMIT,
     ExactSampler,
@@ -18,7 +18,7 @@ from .samplers import (
     spins_at,
 )
 from .solver import reraise_with_context, solve
-from .topology import chimera_graph, complete_graph, load_edge_list
+from .topology import TopologyGraph, chimera_graph, complete_graph, load_edge_list
 
 
 def random_qubo(
@@ -78,10 +78,10 @@ class ExperimentSpec:
     density: float = 0.5
     coeff_range: tuple = (-1.0, 1.0)
     replicas: int = 10
-    params: QalsParams = field(default_factory=QalsParams)
     backend: str = "sa"
     graph: str = "complete"
     success_stats: bool = True
+    params: QalsParams = field(default_factory=QalsParams)
 
     def __post_init__(self):
         if self.replicas < 1:

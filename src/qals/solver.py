@@ -18,7 +18,6 @@ from .core import (
     QuboProblem,
     SolveReport,
     TabuMatrix,
-    TopologyGraph,
     decode,
     encode,
     identity_permutation,
@@ -27,6 +26,7 @@ from .core import (
     tabu_update,
 )
 from .samplers import Sampler, SamplerError, estimate_argmin
+from .topology import TopologyGraph
 
 _STREAM_NAMES = ("permutation", "perturbation", "acceptance", "sampler")
 
@@ -176,8 +176,7 @@ def solve(
             z_prime = perturb_candidate(z_prime, p, pert_rng)
 
         f_prime = None
-        accepted = False
-        improved = False
+        accepted = improved = False
         if not (z_prime == z_star).all():  # both are length-n spin vectors
             f_prime = objective(problem, z_prime)
             evaluations += 1
@@ -185,22 +184,17 @@ def solve(
                 f_best = f_prime
                 z_best = z_prime.copy()
                 best_found_at = i + 1
-            if f_prime < f_star:
+            improved = f_prime < f_star
+            d = 0 if improved else d + 1
+            # the acceptance stream is drawn only for non-improving candidates
+            accepted = improved or accept_suboptimal(p, f_prime, f_star, acc_rng)
+            if accepted:
                 z_prime, z_star = z_star, z_prime
                 f_star = f_prime
                 sigma_star = sigma
                 e = 0
-                d = 0
-                tabu = tabu_update(tabu, z_prime)
-                accepted = improved = True
-            else:
-                d += 1
-                if accept_suboptimal(p, f_prime, f_star, acc_rng):
-                    z_prime, z_star = z_star, z_prime
-                    f_star = f_prime
-                    sigma_star = sigma
-                    e = 0
-                    accepted = True
+            if improved:
+                tabu = tabu_update(tabu, z_prime)  # the displaced current solution
             lam = update_lambda(params.lambda0, i, e)
         else:
             e += 1

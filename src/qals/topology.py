@@ -1,31 +1,109 @@
-"""Annealer topology constructors: complete graphs, Chimera grids, edge lists."""
+"""The annealer's hardware graph and its constructors: complete, Chimera, edge lists."""
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
+
 import numpy as np
 
-from .core import TopologyGraph
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; a bool, float or other non-integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
-def _build(n: int, pairs) -> TopologyGraph:
-    edges = set()
-    for i, j in pairs:
-        if i == j:
-            raise ValueError(f"self-loop on node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-        edges.add((min(i, j), max(i, j)))
-    mask = np.eye(n, dtype=np.float64)
-    for i, j in edges:
-        mask[i, j] = mask[j, i] = 1.0
-    return TopologyGraph(n=n, edges=frozenset(edges), adjacency_mask=mask)
+@dataclass
+class TopologyGraph:
+    """Undirected hardware graph on nodes ``0..n-1``, stored as its edge set.
+
+    ``edges`` is any iterable of node pairs. The constructor checks them
+    (integer nodes in range, no self-loops), collapses duplicates and stores
+    a frozenset of ``(min, max)`` Python-int tuples; graphs compare by ``n``
+    and ``edges``. ``adjacency_mask`` is derived once from the edges: a
+    read-only float64 (n, n) array, 1 on every edge in both orientations and
+    on the diagonal (so that encoding keeps linear bias terms), 0 elsewhere.
+    """
+
+    n: int
+    edges: frozenset
+    adjacency_mask: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.n = n = _integer(self.n, "node count")
+        if n < 1:
+            raise ValueError("node count must be positive")
+        edges = set()
+        for pair in self.edges:
+            try:
+                i, j = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {pair!r} is not a pair of nodes") from None
+            if type(i) is not int or type(j) is not int:  # plain ints skip the call
+                i, j = _integer(i, "node"), _integer(j, "node")
+            if i == j:
+                raise ValueError(f"self-loop on node {i}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+            edges.add((i, j) if i < j else (j, i))
+        self.edges = frozenset(edges)
+        mask = np.eye(n, dtype=np.float64)
+        if edges:
+            rows, cols = zip(*edges)
+            mask[rows, cols] = mask[cols, rows] = 1.0
+        mask.flags.writeable = False
+        self.adjacency_mask = mask
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
+
+    def degree(self, i: int) -> int:
+        return int(self.adjacency_mask[i].sum()) - 1
+
+    @cached_property
+    def colour_classes(self) -> tuple[np.ndarray, ...]:
+        """Independent sets partitioning the nodes, computed on first use.
+
+        Greedy smallest-free colouring in breadth-first order, one component
+        at a time from its lowest index, neighbours queued in index order.
+        A bipartite graph gets two classes and the complete graph n
+        singletons in index order. Class c holds the nodes of colour c in
+        increasing order.
+        """
+        neighbours = [[] for _ in range(self.n)]
+        for i, j in sorted(self.edges):  # leaves every neighbour list ascending
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        colour = [-1] * self.n
+        queued = [False] * self.n
+        for root in range(self.n):
+            if queued[root]:
+                continue
+            queued[root] = True
+            queue = deque([root])
+            while queue:
+                node = queue.popleft()
+                taken = {colour[v] for v in neighbours[node]}
+                colour[node] = next(c for c in count() if c not in taken)
+                for v in neighbours[node]:
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        colour = np.array(colour)
+        classes = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
+        for c in classes:
+            c.flags.writeable = False  # one cached copy is shared by every caller
+        return classes
 
 
 def complete_graph(n: int) -> TopologyGraph:
     """All-to-all connectivity on n nodes."""
-    if n < 1:
-        raise ValueError("node count must be positive")
-    return _build(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return TopologyGraph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def chimera_graph(m: int) -> TopologyGraph:
@@ -55,14 +133,7 @@ def chimera_graph(m: int) -> TopologyGraph:
                 right = 8 * (r * m + c + 1)
                 for u in range(4, 8):
                     pairs.append((base + u, right + u))
-    return _build(n, pairs)
-
-
-def graph_from_edge_list(n: int, pairs) -> TopologyGraph:
-    """Build a graph from explicit (i, j) pairs; duplicates collapse."""
-    if n < 1:
-        raise ValueError("node count must be positive")
-    return _build(n, pairs)
+    return TopologyGraph(n, pairs)
 
 
 def parse_edge_list(text: str) -> TopologyGraph:
@@ -101,7 +172,7 @@ def parse_edge_list(text: str) -> TopologyGraph:
         pairs.append((i, j))
     if n is None:
         raise ValueError("missing header line 'n <count>'")
-    return _build(n, pairs)
+    return TopologyGraph(n, pairs)
 
 
 def load_edge_list(path) -> TopologyGraph:

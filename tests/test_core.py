@@ -9,12 +9,12 @@ from qals import (
     QalsParams,
     QuboProblem,
     TabuMatrix,
+    TopologyGraph,
     WeightMatrix,
     complete_graph,
     decode,
     encode,
     energy,
-    graph_from_edge_list,
     objective,
     tabu_init,
     tabu_update,
@@ -107,7 +107,7 @@ def test_energy_additivity():
 
 
 def test_weight_matrix_rejects_off_support_couplings():
-    g = graph_from_edge_list(3, [(0, 1)])
+    g = TopologyGraph(3, [(0, 1)])
     theta = np.zeros((3, 3))
     theta[0, 2] = theta[2, 0] = 1.0
     with pytest.raises(ValueError):
@@ -238,13 +238,13 @@ def test_encode_complete_graph_identity():
 
 
 def test_encode_edgeless_keeps_diagonal_only():
-    g = graph_from_edge_list(3, [])
+    g = TopologyGraph(3, [])
     q = np.array([[1.0, 2.0, 3.0], [2.0, -1.0, 0.5], [3.0, 0.5, 4.0]])
     np.testing.assert_array_equal(encode(q, np.arange(3), g).theta, np.diag([1.0, -1.0, 4.0]))
 
 
 def test_encode_masked_pair_vanishes():
-    g = graph_from_edge_list(2, [])
+    g = TopologyGraph(2, [])
     q = np.array([[0.0, 5.0], [5.0, 0.0]])
     np.testing.assert_array_equal(encode(q, np.arange(2), g).theta, np.zeros((2, 2)))
 
@@ -260,7 +260,7 @@ def test_encode_places_variables_at_assigned_qubits():
 
 
 def _path3_coefficients(entries=None):
-    # coefficients for graph_from_edge_list(3, [(0, 1), (1, 2)]); pair (0, 2) is off the edge set
+    # coefficients for TopologyGraph(3, [(0, 1), (1, 2)]); pair (0, 2) is off the edge set
     q = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 0.0]])
     for (i, j), value in (entries or {}).items():
         q[i, j] = value
@@ -281,7 +281,7 @@ def _path3_coefficients(entries=None):
     ],
 )
 def test_encode_rejects_bad_coefficients(q, match):
-    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    g = TopologyGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match=match):
         encode(q, np.arange(3), g)
 
@@ -290,7 +290,7 @@ def test_encode_rejects_bad_coefficients(q, match):
     "sigma", [[0, 0, 1], [0, 1], [0, 1, 3], [[0, 1, 2]], [0.0, 1.0, 2.0], [True, False, True]]
 )
 def test_encode_rejects_non_permutation(sigma):
-    g = graph_from_edge_list(3, [(0, 1), (1, 2)])
+    g = TopologyGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="permutation"):
         encode(_path3_coefficients(), np.array(sigma), g)
 
@@ -384,3 +384,16 @@ def test_params_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="lambda0"):
             QalsParams(lambda0=bad)
+
+
+@pytest.mark.parametrize("name", ["N", "k", "i_max", "N_max", "d_min", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, np.True_, "3"])
+def test_params_reject_non_integer_counts(name, bad):
+    with pytest.raises(ValueError, match=f"{name} .* is not an integer"):
+        QalsParams(**{name: bad})
+
+
+def test_params_store_numpy_integers_as_python_ints():
+    params = QalsParams(k=np.int64(3), seed=np.uint64(2**64 - 1))
+    assert type(params.k) is int and type(params.seed) is int
+    assert params.seed == 2**64 - 1

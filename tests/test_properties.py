@@ -14,12 +14,12 @@ from hypothesis.extra.numpy import arrays
 from qals import (
     QuboProblem,
     TabuMatrix,
+    TopologyGraph,
     WeightMatrix,
     chimera_graph,
     complete_graph,
     decode,
     encode,
-    graph_from_edge_list,
     scale_to_ranges,
     tabu_update,
 )
@@ -30,15 +30,21 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
 
 
 @st.composite
+def edge_lists(draw):
+    """A node count and a list of distinct-node pairs, with repeats and both orientations."""
+    n = draw(st.integers(1, MAX_N))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return n, draw(st.lists(st.sampled_from(pairs))) if pairs else []
+
+
+@st.composite
 def graphs(draw):
     kind = draw(st.sampled_from(["complete", "chimera:1", "edges"]))
     if kind == "complete":
         return complete_graph(draw(st.integers(1, MAX_N)))
     if kind == "chimera:1":
         return chimera_graph(1)
-    n = draw(st.integers(1, MAX_N))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return graph_from_edge_list(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    return TopologyGraph(*draw(edge_lists()))
 
 
 def symmetric(draw, n, elements=finite):
@@ -48,6 +54,17 @@ def symmetric(draw, n, elements=finite):
 
 def spins(draw, n):
     return draw(arrays(np.int8, n, elements=st.sampled_from([-1, 1])))
+
+
+@given(edge_lists())
+def test_adjacency_mask_is_exactly_the_edge_set(edge_list):
+    n, pairs = edge_list
+    graph = TopologyGraph(n, pairs)
+    assert graph.edges == {(min(i, j), max(i, j)) for i, j in pairs}
+    off_diagonal = graph.adjacency_mask - np.eye(n)
+    assert set(zip(*np.nonzero(np.triu(off_diagonal)))) == graph.edges
+    np.testing.assert_array_equal(off_diagonal, off_diagonal.T)
+    np.testing.assert_array_equal(np.diagonal(graph.adjacency_mask), np.ones(n))
 
 
 @given(st.data())

@@ -12,13 +12,13 @@ from qals import (
     MetropolisSampler,
     RandomSampler,
     SaSchedule,
+    TopologyGraph,
     WeightMatrix,
     chimera_graph,
     complete_graph,
     energy,
     estimate_argmin,
     exact_minimizers,
-    graph_from_edge_list,
     scale_to_ranges,
 )
 
@@ -329,7 +329,7 @@ def test_metropolis_matches_boltzmann_on_interleaved_classes():
     from qals.core import energies
     from qals.samplers import spins_at
 
-    g = graph_from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    g = TopologyGraph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert [c.tolist() for c in g.colour_classes] == [[0, 2, 4], [1, 3, 5]]
     w = random_weights(np.random.default_rng(5), g, lo=-1, hi=1)
     beta = 0.7

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qals import chimera_graph, complete_graph, graph_from_edge_list, parse_edge_list
+from qals import TopologyGraph, chimera_graph, complete_graph, parse_edge_list
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (5, 10)])
@@ -72,21 +72,67 @@ def test_masks_symmetric_unit_diagonal(m):
 
 
 def test_edge_list_deduplication():
-    g = graph_from_edge_list(3, [(0, 1), (1, 0)])
+    g = TopologyGraph(3, [(0, 1), (1, 0)])
     assert g.num_edges == 1
 
 
 def test_edge_list_empty():
-    g = graph_from_edge_list(3, [])
+    g = TopologyGraph(3, [])
     assert g.num_edges == 0
     np.testing.assert_array_equal(g.adjacency_mask, np.eye(3))
 
 
 def test_edge_list_out_of_range():
     with pytest.raises(ValueError):
-        graph_from_edge_list(2, [(0, 2)])
+        TopologyGraph(2, [(0, 2)])
     with pytest.raises(ValueError):
-        graph_from_edge_list(2, [(0, 0)])
+        TopologyGraph(2, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "n, pairs, match",
+    [
+        (3, [(0.5, 1)], "node 0.5 is not an integer"),
+        (3, [(0, 1.0)], "node 1.0 is not an integer"),
+        (3, [(True, 2)], "node True is not an integer"),
+        (3, [(0, np.True_)], "not an integer"),
+        (3, [(0, "1")], "not an integer"),
+        (3, [(0, 3)], "out of range"),
+        (3, [(-1, 2)], "out of range"),
+        (3, [(2, 2)], "self-loop"),
+        (3, [(0, 1, 2)], "not a pair"),
+        (3, [7], "not a pair"),
+        (0, [], "node count must be positive"),
+        (2.0, [], "node count 2.0 is not an integer"),
+        (True, [], "node count True is not an integer"),
+    ],
+)
+def test_graph_rejects_bad_nodes_at_construction(n, pairs, match):
+    with pytest.raises(ValueError, match=match):
+        TopologyGraph(n, pairs)
+
+
+def test_graph_stores_ordered_python_int_pairs():
+    g = TopologyGraph(np.int64(3), iter([(np.int64(2), 0), (0, 2), (1, 0)]))
+    assert type(g.n) is int and isinstance(g.edges, frozenset)
+    assert g.edges == {(0, 2), (0, 1)}
+    assert all(type(v) is int for edge in g.edges for v in edge)
+
+
+def test_graphs_compare_by_node_count_and_edges():
+    assert complete_graph(3) == complete_graph(3)
+    assert TopologyGraph(3, [(1, 0), (2, 1)]) == TopologyGraph(3, {(0, 1), (1, 2)})
+    assert complete_graph(3) != TopologyGraph(3, [(0, 1)])
+    assert TopologyGraph(3, []) != TopologyGraph(4, [])
+
+
+def test_adjacency_mask_is_derived_and_read_only():
+    g = TopologyGraph(3, [(0, 1)])
+    np.testing.assert_array_equal(g.adjacency_mask, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency_mask[0, 2] = 1.0
+    with pytest.raises(TypeError):
+        TopologyGraph(3, [(0, 1)], adjacency_mask=np.ones((3, 3)))
 
 
 def test_parse_edge_list_file_format():
@@ -121,7 +167,7 @@ def test_parse_edge_list_reports_line_numbers():
 
 
 def ring(n):
-    return graph_from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return TopologyGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @pytest.mark.parametrize(
@@ -133,8 +179,8 @@ def ring(n):
         chimera_graph(3),
         ring(6),
         ring(5),
-        graph_from_edge_list(7, [(0, 6), (2, 3), (3, 4), (2, 4)]),
-        graph_from_edge_list(4, []),
+        TopologyGraph(7, [(0, 6), (2, 3), (3, 4), (2, 4)]),
+        TopologyGraph(4, []),
     ],
 )
 def test_colour_classes_are_independent_sets_partitioning_the_nodes(graph):
