@@ -8,6 +8,7 @@ Permutations are 1-D integer arrays holding the image of each index:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -81,10 +82,17 @@ class WeightMatrix:
     skips those checks and is only for code that makes the invariants true
     itself: ``encode`` (checked inputs, masked by the support) and
     ``scale_to_ranges`` (a checked matrix divided by one positive scalar).
+
+    ``placement`` is the sigma these weights were encoded under (qubit
+    ``placement[i]`` hosts logical variable ``i``), or None when unknown.
+    Only ``encode`` sets it, and ``scale_to_ranges`` carries it over; the
+    public constructor always leaves it None. ``ExactSampler`` reads it to
+    recognise a landscape it has already enumerated under another placement.
     """
 
     theta: np.ndarray
     graph: TopologyGraph
+    placement: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = _checked_symmetric(self.theta, "weight matrix", self.graph.n)
@@ -94,11 +102,14 @@ class WeightMatrix:
         self.theta = theta
 
     @classmethod
-    def _trusted(cls, theta: np.ndarray, graph: TopologyGraph) -> "WeightMatrix":
+    def _trusted(
+        cls, theta: np.ndarray, graph: TopologyGraph, placement: np.ndarray | None = None
+    ) -> "WeightMatrix":
         """Wrap a float64 ``theta`` that already meets every invariant, unchecked."""
         out = cls.__new__(cls)
         out.theta = theta
         out.graph = graph
+        out.placement = placement
         return out
 
     @property
@@ -168,6 +179,10 @@ class QalsParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p_delta", "eta", "q", "lambda0"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} {value!r} is not a real number")
         if not 0.0 < self.p_delta < 0.5:
             raise ValueError("p_delta must lie in (0, 0.5)")
         if not 0.0 < self.eta < 1.0:
@@ -320,7 +335,8 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     hold by construction: placing a symmetric matrix under a permutation
     keeps it symmetric and finite, and the multiply by the mask zeroes every
     coupling outside the edge set, because the mask is 1 off the diagonal
-    exactly on the edges.
+    exactly on the edges. The result records ``sigma`` (the checked array
+    itself, not a copy) as its ``placement``.
     """
     n = graph.n
     qprime = _checked_symmetric(qprime, "coefficient matrix", n)
@@ -330,7 +346,7 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     theta = np.empty((n, n), dtype=np.float64)  # every entry is written below
     theta[sigma[:, None], sigma] = qprime
     theta *= graph.adjacency_mask
-    return WeightMatrix._trusted(theta, graph)
+    return WeightMatrix._trusted(theta, graph, sigma)
 
 
 def decode(y: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .samplers import (
     spins_at,
 )
 from .solver import reraise_with_context, solve
-from .topology import TopologyGraph, chimera_graph, complete_graph, load_edge_list
+from .topology import TopologyGraph, _integer, chimera_graph, complete_graph, load_edge_list
 
 
 def random_qubo(
@@ -84,6 +84,8 @@ class ExperimentSpec:
     params: QalsParams = field(default_factory=QalsParams)
 
     def __post_init__(self):
+        self.n = _integer(self.n, "n")
+        self.replicas = _integer(self.replicas, "replicas")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if not 0.0 < self.density <= 1.0:

@@ -145,20 +145,50 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
 
 @dataclass
 class ExactSampler:
-    """Oracle backend: every sample is a true minimizer of the landscape."""
+    """Oracle backend: every sample is a true minimizer of the landscape.
+
+    Keeps the last logical landscape it enumerated and the indices of its
+    minimizers, so a call that sees the same pulled-back weights under
+    another placement skips the enumeration.
+    """
+
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         """Return k states drawn uniformly from the exact minimizer set.
 
-        The set is ``exact_minimizers``' (ties within the rounding slack), and
-        the draw is one ``rng.integers(0, count, size=k)`` call. Holds one
-        enumeration block plus 16 bytes per minimizer.
+        The weights are pulled back to the logical frame,
+        ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
+        (the identity when None), and that landscape is enumerated with
+        ``enumerate_minima`` (ties within its rounding slack). The logical
+        minimizer indices are mapped to qubit order, sorted, and the draw is
+        one ``rng.integers(0, count, size=k)`` call, so the result is a
+        function of the pulled-back weights, sigma and the rng alone. The
+        last pulled-back weights and their minimizer indices are cached: a
+        call with equal pulled-back weights (on a complete graph, the same
+        coefficients under any placement) reuses the indices. Holds one
+        enumeration block plus 16 bytes per minimizer during a call, and 8
+        bytes per minimizer between calls.
         """
         _check_enumerable(theta.n)
         if k < 1:
             raise ValueError("k must be at least 1")
-        indices, _ = enumerate_minima(theta.theta)
-        return spins_at(theta.n, indices[rng.integers(0, indices.size, size=k)])
+        n = theta.n
+        sigma = np.arange(n) if theta.placement is None else theta.placement
+        logical = theta.theta[np.ix_(sigma, sigma)]
+        last = self._last
+        if last is None or not np.array_equal(last[0], logical):
+            last = self._last = (logical, enumerate_minima(logical)[0])
+        found = last[1]
+        # logical variable i sits on qubit sigma[i]: its bit n-1-i moves to bit n-1-sigma[i]
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        place = 1 << shifts[sigma]
+        indices = np.empty_like(found)
+        rows = max(1, (1 << _BLOCK_BITS) // n)
+        for lo in range(0, found.size, rows):
+            indices[lo : lo + rows] = ((found[lo : lo + rows, None] >> shifts) & 1) @ place
+        indices.sort()
+        return spins_at(n, indices[rng.integers(0, indices.size, size=k)])
 
 
 @dataclass
@@ -285,7 +315,7 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     c = max(biases.max() / delta, upper.max() / gamma)
     if c == 0.0:
         return theta
-    return WeightMatrix._trusted(theta.theta / c, theta.graph)
+    return WeightMatrix._trusted(theta.theta / c, theta.graph, theta.placement)
 
 
 def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -103,6 +103,7 @@ class TopologyGraph:
 
 def complete_graph(n: int) -> TopologyGraph:
     """All-to-all connectivity on n nodes."""
+    n = _integer(n, "node count")
     return TopologyGraph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -115,6 +116,7 @@ def chimera_graph(m: int) -> TopologyGraph:
     left qubit in the vertically adjacent cell, right qubits to the
     same-position right qubit in the horizontally adjacent cell.
     """
+    m = _integer(m, "grid size")
     if m < 1:
         raise ValueError("grid size must be positive")
     n = 8 * m * m

@@ -393,6 +393,13 @@ def test_params_reject_non_integer_counts(name, bad):
         QalsParams(**{name: bad})
 
 
+@pytest.mark.parametrize("name", ["p_delta", "eta", "q", "lambda0"])
+@pytest.mark.parametrize("bad", ["0.1", True, np.True_, None])
+def test_params_reject_non_real_rates(name, bad):
+    with pytest.raises(ValueError, match=f"{name} .* is not a real number"):
+        QalsParams(**{name: bad})
+
+
 def test_params_store_numpy_integers_as_python_ints():
     params = QalsParams(k=np.int64(3), seed=np.uint64(2**64 - 1))
     assert type(params.k) is int and type(params.seed) is int

@@ -117,6 +117,12 @@ def small_spec(**kwargs):
     return ExperimentSpec(**defaults)
 
 
+@pytest.mark.parametrize("name,bad", [("n", 4.5), ("n", True), ("replicas", 2.5), ("replicas", "3")])
+def test_experiment_spec_rejects_non_integer_counts(name, bad):
+    with pytest.raises(ValueError, match=f"{name} .* is not an integer"):
+        small_spec(**{name: bad})
+
+
 def test_experiment_single_replica_succeeds():
     report = run_experiment(small_spec(replicas=1, params=QalsParams(i_max=400, seed=5)))
     assert report.success_rate == 1.0

@@ -16,6 +16,7 @@ from qals import (
     WeightMatrix,
     chimera_graph,
     complete_graph,
+    encode,
     energy,
     estimate_argmin,
     exact_minimizers,
@@ -195,6 +196,89 @@ def test_exact_sample_capacity_guard():
     w = weights(np.zeros((25, 25)), g)
     with pytest.raises(CapacityError):
         ExactSampler().sample(w, 1, np.random.default_rng(0))
+
+
+# ----------------------------------- exact backend: logical frame and its cache
+
+
+def enumerate_then_draw(theta, k, rng):
+    """Reference: enumerate the weights as given, in qubit order, and draw once."""
+    import qals.samplers as sam
+
+    indices, _ = sam.enumerate_minima(theta.theta)
+    return sam.spins_at(theta.n, indices[rng.integers(0, indices.size, size=k)])
+
+
+def coefficients(kind, n, rng):
+    """Symmetric coefficients: uniform floats, integers, decimals, all zero or in {-1, 0, 1}."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "ternary":
+        a = rng.integers(-1, 2, size=(n, n)).astype(float)
+    else:
+        a = rng.uniform(-1, 1, size=(n, n))
+        if kind == "integer":
+            a = np.round(3 * a)
+        elif kind == "decimal":
+            a = np.round(10 * a) / 10
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@pytest.mark.parametrize("kind", ["float", "integer", "decimal", "zero", "ternary"])
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_exact_sample_matches_enumerating_the_qubit_weights(kind, n):
+    rng = np.random.default_rng(n)
+    g = complete_graph(n)
+    for trial in range(4):
+        c = coefficients(kind, n, rng)
+        cases = [WeightMatrix(c, g)] + [encode(c, rng.permutation(n), g) for _ in range(3)]
+        for w in cases:
+            got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            np.testing.assert_array_equal(
+                ExactSampler().sample(w, 9, got_rng), enumerate_then_draw(w, 9, ref_rng)
+            )
+            assert got_rng.random() == ref_rng.random()  # the same rng consumption
+
+
+def test_reused_exact_sampler_matches_a_fresh_one_per_call(monkeypatch):
+    import qals.samplers as sam
+
+    calls = []
+    enumerate_minima = sam.enumerate_minima
+    monkeypatch.setattr(sam, "enumerate_minima", lambda w: calls.append(w) or enumerate_minima(w))
+    rng = np.random.default_rng(7)
+    g, chimera = complete_graph(8), chimera_graph(1)
+    c1, c2 = coefficients("decimal", 8, rng), coefficients("float", 8, rng)
+    s1, s2 = rng.permutation(8), rng.permutation(8)
+    sequence = [  # (weights, enumerations the call makes)
+        (encode(c1, s1, g), 1),  # empty cache
+        (encode(c1, s1, g), 0),  # the same weights
+        (encode(c1, s2, g), 0),  # the same coefficients under another placement
+        (WeightMatrix(c1, g), 0),  # public weights: the identity placement
+        (encode(c2, s2, g), 1),  # new coefficients after a hit
+        (encode(c2, s2, chimera), 1),  # sparse: the masked couplings differ
+        (encode(c2, s1, chimera), 1),  # ... and depend on the placement
+        (encode(c2, s2, chimera), 1),  # one entry only: the first sparse landscape is gone
+    ]
+    warm = ExactSampler()
+    for step, (w, misses) in enumerate(sequence):
+        before = len(calls)
+        rows = warm.sample(w, 6, np.random.default_rng(step))
+        assert len(calls) - before == misses, step
+        np.testing.assert_array_equal(rows, ExactSampler().sample(w, 6, np.random.default_rng(step)))
+    assert warm._last[1].dtype == np.int64  # indices, not spin rows, are kept between calls
+
+
+def test_placement_is_recorded_by_encode_only():
+    g = complete_graph(4)
+    c = coefficients("float", 4, np.random.default_rng(0))
+    sigma = np.array([2, 0, 3, 1])
+    assert WeightMatrix(c, g).placement is None
+    w = encode(c, sigma, g)
+    np.testing.assert_array_equal(w.placement, sigma)
+    np.testing.assert_array_equal(scale_to_ranges(w, 0.5, 0.5).placement, sigma)
+    with pytest.raises(TypeError):
+        WeightMatrix(c, g, placement=sigma)
 
 
 # ------------------------------------------------------------- random backend

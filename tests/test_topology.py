@@ -112,6 +112,21 @@ def test_graph_rejects_bad_nodes_at_construction(n, pairs, match):
         TopologyGraph(n, pairs)
 
 
+@pytest.mark.parametrize(
+    "build,bad,what",
+    [
+        (complete_graph, 2.5, "node count"),
+        (complete_graph, "3", "node count"),
+        (chimera_graph, 1.5, "grid size"),
+        (chimera_graph, True, "grid size"),
+    ],
+)
+def test_graph_constructors_reject_non_integer_counts(build, bad, what):
+    # checked before any pair is generated, so the error is not range()'s TypeError
+    with pytest.raises(ValueError, match=f"{what} .* is not an integer"):
+        build(bad)
+
+
 def test_graph_stores_ordered_python_int_pairs():
     g = TopologyGraph(np.int64(3), iter([(np.int64(2), 0), (0, 2), (1, 0)]))
     assert type(g.n) is int and isinstance(g.edges, frozenset)
