@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -17,6 +18,7 @@ import numpy as np
 import requests
 
 from .core import SPIN_DTYPE, WeightMatrix, energies, split_energies
+from .topology import _integer
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18  # states per enumeration block: 2**18
@@ -197,7 +199,9 @@ class SaSchedule:
 
     When no explicit endpoints are given they are derived from the weights:
     hot enough to accept the worst single-spin move about half the time,
-    cold enough to freeze the smallest nonzero single-spin gap.
+    cold enough to freeze the smallest nonzero single-spin gap. ``sweeps``
+    must be an integer and explicit endpoints finite real numbers; anything
+    else raises ``ValueError``.
     """
 
     sweeps: int = 100
@@ -205,11 +209,17 @@ class SaSchedule:
     beta_end: float | None = None
 
     def __post_init__(self):
+        self.sweeps = _integer(self.sweeps, "sweeps")
         if self.sweeps < 1:
             raise ValueError("sweeps must be at least 1")
         if (self.beta_start is None) != (self.beta_end is None):
             raise ValueError("give both beta endpoints or neither")
         if self.beta_start is not None:
+            for name in ("beta_start", "beta_end"):
+                value = getattr(self, name)
+                real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                if not (real and math.isfinite(value)):
+                    raise ValueError(f"{name} {value!r} is not a finite real number")
             if not 0.0 < self.beta_start <= self.beta_end:
                 raise ValueError("need 0 < beta_start <= beta_end")
 
@@ -254,35 +264,53 @@ class MetropolisSampler:
         classes are ascending runs of consecutive indices (every complete graph,
         ``chimera:1``) the rng is consumed exactly as by a per-spin sweep in index
         order.
+
+        The chain states are held spin-major, an ``(n, k)`` array whose rows are
+        in class order, so every class is a contiguous block of rows. A class's
+        local field is the product of its coupling rows with the spins of the
+        other classes only: its own columns are zero, since a class is an
+        independent set and the diagonal is cleared. The first and the last class
+        read the single block of rows after or before them; a class in the middle
+        has a complement of two blocks and reads the full row. On a two-class
+        graph (every Chimera graph) this halves each product.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
+        n = theta.n
         classes = theta.graph.colour_classes
         order = np.concatenate(classes)
         bounds = np.cumsum([0] + [c.size for c in classes])
-        # Permute once so that every class is a contiguous block of columns.
+        # Permute once so that every class is a contiguous block of rows and columns.
         couplings = theta.theta[np.ix_(order, order)]
         np.fill_diagonal(couplings, 0.0)
         biases = theta.biases[order]
 
-        states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
-        steps = [
-            (states[:, lo:hi], couplings[:, lo:hi], biases[lo:hi], slice(lo, hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for beta in self.schedule.betas(theta):
+        initial = (2 * rng.integers(0, 2, size=(k, n)) - 1).astype(np.float64)
+        states = np.ascontiguousarray(initial.T[order])
+        steps = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            others = slice(hi, n) if lo == 0 else slice(0, lo) if hi == n else slice(0, n)
+            # a full (size, k) operand adds faster than a broadcast column
+            bias = np.repeat(biases[lo:hi, None], k, axis=1)
+            rows = slice(lo, hi)
+            steps.append((couplings[rows, others], states[others], bias, states[rows], rows))
+        accept = np.empty((n, k), dtype=bool)
+        for beta2 in 2.0 * self.schedule.betas(theta):
             # One draw per sweep: the classes are contiguous blocks of rows, so
             # each slice holds the values a per-class rng.random((size, k)) would.
-            uniforms = rng.random((theta.n, k))
-            for spins, columns, bias, rows in steps:
+            uniforms = rng.random((n, k))
+            for block, fixed, bias, spins, rows in steps:
                 # x = s * (local field) is minus half the flip cost, so the
                 # acceptance probability min(1, exp(-beta * cost)) is exp(2 beta min(x, 0))
-                x = spins * (bias + states @ columns)
+                x = block @ fixed
+                x += bias
+                x *= spins
                 np.minimum(x, 0.0, out=x)
-                x *= 2.0 * beta
-                accept = uniforms[rows].T < np.exp(x, out=x)
-                np.negative(spins, out=spins, where=accept)
-        return states[:, np.argsort(order)].astype(SPIN_DTYPE)
+                x *= beta2
+                np.exp(x, out=x)
+                np.less(uniforms[rows], x, out=accept[rows])
+                np.negative(spins, out=spins, where=accept[rows])
+        return states[np.argsort(order)].T.astype(SPIN_DTYPE)
 
 
 @dataclass
@@ -348,19 +376,22 @@ class RemoteSampler:
     """Client for a JSON-over-HTTP sampling service.
 
     ``GET {endpoint}/info`` advertises the service's weight ranges; weights
-    are rescaled client-side before each ``POST {endpoint}/sample``. No
-    retries: transport failures surface immediately.
+    are rescaled client-side before each ``POST {endpoint}/sample``. Each
+    sampler keeps one HTTP session, so a service that keeps connections
+    alive answers every call on the same connection. No retries: transport
+    failures surface immediately.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
         self._info = None
+        self._session = requests.Session()
 
     def info(self) -> dict:
         if self._info is None:
             try:
-                r = requests.get(f"{self.endpoint}/info", timeout=self.timeout)
+                r = self._session.get(f"{self.endpoint}/info", timeout=self.timeout)
             except requests.RequestException as exc:
                 raise TransportError(f"cannot reach {self.endpoint}/info: {exc}") from exc
             self._info = self._parse_info(r)
@@ -422,9 +453,7 @@ class RemoteSampler:
             "num_reads": int(k),
         }
         try:
-            r = requests.post(
-                f"{self.endpoint}/sample", json=request, timeout=self.timeout
-            )
+            r = self._session.post(f"{self.endpoint}/sample", json=request, timeout=self.timeout)
         except requests.RequestException as exc:
             raise TransportError(f"cannot reach {self.endpoint}/sample: {exc}") from exc
         if r.status_code != 200:

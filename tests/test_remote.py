@@ -2,7 +2,7 @@
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -211,6 +211,48 @@ def test_sampler_contract(make):
     assert first.shape == (5, 3) and first.dtype == np.int8
     assert (np.abs(first) == 1).all()
     np.testing.assert_array_equal(first, again)
+
+
+def test_one_connection_per_sampler():
+    # an HTTP/1.1 service keeps connections alive, so a sampler that reuses
+    # its connection sends /info and every /sample from one client port
+    ports = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def _send(self, payload):
+            ports.append(self.client_address[1])
+            body = json.dumps(payload).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_GET(self):
+            self._send({"delta": 2.0, "gamma": 1.0, "topology": "complete", "max_nodes": 16})
+
+        def do_POST(self):
+            k = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["num_reads"]
+            self._send({"samples": [[1, -1, 1]] * k, "energies": [0.0] * k})
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True  # shutdown must not wait on an open keep-alive connection
+    serve = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    serve.start()
+    try:
+        host, port = server.server_address
+        sampler = RemoteSampler(f"http://{host}:{port}")
+        for _ in range(2):
+            assert sampler.sample(toy_weights(), 2).shape == (2, 3)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(ports) == 3 and len(set(ports)) == 1
 
 
 def test_one_shot_helper():

@@ -407,6 +407,62 @@ def test_metropolis_matches_per_spin_sweep_on_consecutive_classes(graph, integer
         assert got.dtype == expected.dtype
 
 
+def sample_major_class_sweeps(theta, k, schedule, rng):
+    # reference: chains as rows, every class a block of columns whose field is
+    # the product of all states with the full coupling columns
+    classes = theta.graph.colour_classes
+    order = np.concatenate(classes)
+    bounds = np.cumsum([0] + [c.size for c in classes])
+    couplings = theta.theta[np.ix_(order, order)]
+    np.fill_diagonal(couplings, 0.0)
+    biases = theta.biases[order]
+    states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
+    for beta in schedule.betas(theta):
+        uniforms = rng.random((theta.n, k))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            spins = states[:, lo:hi]
+            x = spins * (biases[lo:hi] + states @ couplings[:, lo:hi])
+            np.minimum(x, 0.0, out=x)
+            x *= 2.0 * beta
+            accept = uniforms[lo:hi].T < np.exp(x, out=x)
+            np.negative(spins, out=spins, where=accept)
+    return states[:, np.argsort(order)].astype(np.int8)
+
+
+def random_edge_graph(n, p, seed):
+    rng = np.random.default_rng(seed)
+    pairs = itertools.combinations(range(n), 2)
+    return TopologyGraph(n, [(i, j) for i, j in pairs if rng.random() < p])
+
+
+@pytest.mark.parametrize(
+    "graph, class_count",
+    [
+        (chimera_graph(2), 2),
+        (chimera_graph(4), 2),
+        (TopologyGraph(5, [(i, (i + 1) % 5) for i in range(5)]), 3),
+        (random_edge_graph(24, 0.25, 8), 5),
+    ],
+    ids=["chimera2", "chimera4", "ring5", "random24"],
+)
+@pytest.mark.parametrize("integer", [False, True])
+def test_metropolis_matches_sample_major_sweep_on_interleaved_classes(graph, class_count, integer):
+    # the spin-major sweep reads only the other classes' columns; on these
+    # graphs the classes interleave, and on the ring and the random graph the
+    # middle classes read the full row
+    assert len(graph.colour_classes) == class_count
+    rng = np.random.default_rng(4)
+    for k, schedule in itertools.product((1, 10), (SaSchedule(), SaSchedule(5, 0.2, 4.0))):
+        w = random_weights(rng, graph, integer=integer)
+        seed = int(rng.integers(2**32))
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = MetropolisSampler(schedule).sample(w, k, ours)
+        expected = sample_major_class_sweeps(w, k, schedule, reference)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype and got.strides == expected.strides
+        assert ours.random() == reference.random()
+
+
 def test_metropolis_matches_boltzmann_on_interleaved_classes():
     # a 6-ring colours as {0, 2, 4} and {1, 3, 5}: each sweep flips three
     # spins per vectorised step, which must leave the Gibbs weights intact
@@ -436,6 +492,28 @@ def test_schedule_validation():
         SaSchedule(beta_start=1.0)
     with pytest.raises(ValueError):
         SaSchedule(beta_start=2.0, beta_end=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(sweeps=2.5),
+        dict(sweeps=True),
+        dict(sweeps="3"),
+        dict(beta_start=0.1, beta_end=float("inf")),
+        dict(beta_start=float("nan"), beta_end=1.0),
+        dict(beta_start=True, beta_end=2.0),
+        dict(beta_start=0.1, beta_end="2"),
+    ],
+)
+def test_schedule_rejects_ill_typed_and_non_finite_fields(kwargs):
+    with pytest.raises(ValueError):
+        SaSchedule(**kwargs)
+
+
+def test_schedule_stores_numpy_sweeps_as_int():
+    schedule = SaSchedule(sweeps=np.int64(4), beta_start=np.float64(0.5), beta_end=2)
+    assert type(schedule.sweeps) is int and schedule.betas(zero_weights(2)).size == 4
 
 
 # ------------------------------------------------------------ estimate_argmin
