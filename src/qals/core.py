@@ -80,12 +80,13 @@ class WeightMatrix:
     The public constructor is the boundary: it checks the shape, that the
     entries are finite and symmetric, and the edge support. ``_trusted``
     skips those checks and is only for code that makes the invariants true
-    itself: ``encode`` (checked inputs, masked by the support) and
-    ``scale_to_ranges`` (a checked matrix divided by one positive scalar).
+    itself: ``_place``, the body of ``encode`` (finite symmetric inputs,
+    masked by the support), and ``scale_to_ranges`` (a checked matrix
+    divided by one positive scalar).
 
     ``placement`` is the sigma these weights were encoded under (qubit
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
-    Only ``encode`` sets it, and ``scale_to_ranges`` carries it over; the
+    Only ``_place`` sets it, and ``scale_to_ranges`` carries it over; the
     public constructor always leaves it None. ``ExactSampler`` reads it to
     recognise a landscape it has already enumerated under another placement.
     """
@@ -329,20 +330,33 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     the edge set are masked away by ``graph.adjacency_mask``, which the graph
     derives from its edges (its unit diagonal keeps every bias).
 
-    The inputs are checked: ``qprime`` must be (n, n), finite and symmetric
-    (off-edge entries included) and ``sigma`` a permutation of the nodes.
-    The result is then built without ``WeightMatrix``'s checks, because they
-    hold by construction: placing a symmetric matrix under a permutation
-    keeps it symmetric and finite, and the multiply by the mask zeroes every
-    coupling outside the edge set, because the mask is 1 off the diagonal
-    exactly on the edges. The result records ``sigma`` (the checked array
-    itself, not a copy) as its ``placement``.
+    This is the checked boundary: ``qprime`` must be (n, n), finite and
+    symmetric (off-edge entries included) and ``sigma`` a permutation of the
+    nodes. ``solve`` calls it for its two initialization encodings, which
+    check ``problem.q`` and the first two placements; its loop then calls
+    ``_place`` directly, on coefficients and placements it builds from
+    those. The result records ``sigma`` (the checked array itself, not a
+    copy) as its ``placement``.
     """
     n = graph.n
     qprime = _checked_symmetric(qprime, "coefficient matrix", n)
     sigma = np.asarray(sigma)
     if sigma.size != n or not is_permutation(sigma):
         raise ValueError("sigma is not a permutation of the graph's nodes")
+    return _place(qprime, sigma, graph)
+
+
+def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> WeightMatrix:
+    """``encode`` without its checks, for callers whose inputs already hold them.
+
+    ``qprime`` must be a finite, exactly symmetric (n, n) array and ``sigma``
+    an integer permutation of the n nodes. The result is built without
+    ``WeightMatrix``'s checks, because they hold by construction: placing a
+    symmetric matrix under a permutation keeps it symmetric and finite, and
+    the multiply by the mask zeroes every coupling outside the edge set,
+    because the mask is 1 off the diagonal exactly on the edges.
+    """
+    n = graph.n
     theta = np.empty((n, n), dtype=np.float64)  # every entry is written below
     theta[sigma[:, None], sigma] = qprime
     theta *= graph.adjacency_mask

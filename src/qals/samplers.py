@@ -329,7 +329,8 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
 
     Divides by the smallest factor that brings every entry inside its range,
     so at least one bound is attained; positive scaling leaves the minimizer
-    set untouched. A zero matrix is returned unchanged.
+    set untouched. A zero matrix is returned unchanged. Weights whose largest
+    magnitude is subnormal are first multiplied by an exact power of two.
 
     The bounds are checked; the result is built without ``WeightMatrix``'s
     checks, because dividing a checked matrix by one positive scalar keeps
@@ -338,12 +339,17 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     """
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
         raise ValueError("range bounds must be positive and finite")
-    biases = np.abs(theta.biases)
-    upper = np.abs(np.triu(theta.theta, k=1))
-    c = max(biases.max() / delta, upper.max() / gamma)
+    weights = theta.theta
+    bias = np.abs(theta.biases).max()
+    coupling = np.abs(np.triu(weights, k=1)).max()
+    if 0.0 < max(bias, coupling) < np.finfo(np.float64).smallest_normal:
+        # max / delta could underflow to 0. Every entry is subnormal or zero,
+        # so multiplying by 2**1074 (which takes 5e-324 to 1) is exact.
+        weights, bias, coupling = (np.ldexp(x, 1074) for x in (weights, bias, coupling))
+    c = max(bias / delta, coupling / gamma)
     if c == 0.0:
         return theta
-    return WeightMatrix._trusted(theta.theta / c, theta.graph, theta.placement)
+    return WeightMatrix._trusted(weights / c, theta.graph, theta.placement)
 
 
 def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:

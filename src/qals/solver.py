@@ -9,6 +9,7 @@ likely worse candidates are to be accepted.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NoReturn
 
 import numpy as np
@@ -18,6 +19,7 @@ from .core import (
     QuboProblem,
     SolveReport,
     TabuMatrix,
+    _place,
     decode,
     encode,
     identity_permutation,
@@ -106,6 +108,29 @@ def _temperature(p: float) -> float | None:
     return -1.0 / math.log(p) if 0.0 < p < 1.0 else None
 
 
+# Every energy is a sum of |weight| terms, and flip costs and objective
+# differences double such a sum; the factor 16 covers that and the rounding
+# of any summation order with room to spare.
+_WEIGHT_SUM_LIMIT = sys.float_info.max / 16
+
+
+def _check_weight_sum(q: np.ndarray, params: QalsParams) -> None:
+    """Raise unless every weight sum the run can form is safely finite.
+
+    Iteration coefficients are ``q + lam * S`` with ``lam <= lambda0`` and
+    ``|S_ij| <= m <= i_max + 1``, so their absolute sum is at most
+    ``sum|q| + lambda0 * (i_max + 1) * n**2``.
+    """
+    n = q.shape[0]
+    bound = float(np.abs(q).sum()) + params.lambda0 * (params.i_max + 1) * n * n
+    if not bound <= _WEIGHT_SUM_LIMIT:
+        raise ValueError(
+            f"the coefficients can reach an absolute sum of {bound:.3g} "
+            f"(sum|Q| + lambda0 * (i_max + 1) * n^2), above the limit {_WEIGHT_SUM_LIMIT:.3g} "
+            "for finite energies; lower lambda0 or i_max, or rescale Q"
+        )
+
+
 def solve(
     problem: QuboProblem,
     graph: TopologyGraph,
@@ -126,6 +151,16 @@ def solve(
 
     Everything is a deterministic function of (problem, graph, sampler
     backend, params.seed).
+
+    Inputs are checked before the first sampler call: the graph size here,
+    ``problem.q`` and the two initial placements by the checked ``encode``
+    and ``decode`` of initialization, and the largest weight sum the run
+    can form (``sum|Q| + lambda0 * (i_max + 1) * n**2``) against overflow.
+    The loop then trusts what it builds from those: each placement is a
+    ``modify_permutation`` of a checked one, ``q + lam * S`` is finite and
+    exactly symmetric, and each sample was checked by ``estimate_argmin``.
+    So it places the coefficients with ``_place`` and reads the sample back
+    as ``y[sigma]``, without ``encode``'s and ``decode``'s checks.
     """
     n = problem.n
     if graph.n != n:
@@ -136,19 +171,20 @@ def solve(
     acc_rng = streams["acceptance"]
     samp_rng = streams["sampler"]
 
-    def run_annealer(coeffs, sigma, phase):
-        theta = encode(coeffs, sigma, graph)
+    def run_annealer(theta, phase):
         try:
-            y = estimate_argmin(sampler, theta, params.k, samp_rng)
+            return estimate_argmin(sampler, theta, params.k, samp_rng)
         except SamplerError as exc:
             reraise_with_context(exc, f"during {phase}")
-        return decode(y, sigma)
 
     ident = identity_permutation(n)
     sigma1 = modify_permutation(ident, 1.0, perm_rng)
     sigma2 = modify_permutation(ident, 1.0, perm_rng)
-    z1 = run_annealer(problem.q, sigma1, "initialization")
-    z2 = run_annealer(problem.q, sigma2, "initialization")
+    theta = encode(problem.q, sigma1, graph)  # checks problem.q, which the weight sum reads
+    _check_weight_sum(problem.q, params)
+    z1 = decode(run_annealer(theta, "initialization"), sigma1)
+    theta = encode(problem.q, sigma2, graph)
+    z2 = decode(run_annealer(theta, "initialization"), sigma2)
     f1 = objective(problem, z1)
     f2 = objective(problem, z2)
     evaluations = 2
@@ -171,7 +207,8 @@ def solve(
         if i % params.N == 0:
             p = update_p(p, params.p_delta, params.eta)
         sigma = modify_permutation(sigma_star, p, perm_rng)
-        z_prime = run_annealer(coeffs, sigma, f"iteration {i}")
+        theta = _place(coeffs, sigma, graph)
+        z_prime = run_annealer(theta, f"iteration {i}")[sigma]
         if pert_rng.random() < params.q:
             z_prime = perturb_candidate(z_prime, p, pert_rng)
 

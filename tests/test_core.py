@@ -11,6 +11,7 @@ from qals import (
     TabuMatrix,
     TopologyGraph,
     WeightMatrix,
+    chimera_graph,
     complete_graph,
     decode,
     encode,
@@ -19,7 +20,7 @@ from qals import (
     tabu_init,
     tabu_update,
 )
-from qals.core import as_spins, conjugate_tabu, is_permutation
+from qals.core import _place, as_spins, conjugate_tabu, is_permutation
 
 
 def all_spins(n):
@@ -318,6 +319,27 @@ def test_encode_decode_roundtrip_random():
         y = np.empty(n, dtype=np.int8)
         y[sigma] = z
         np.testing.assert_array_equal(decode(y, sigma), z)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [complete_graph(8), chimera_graph(1), chimera_graph(2)],
+    ids=["complete", "chimera1", "chimera2"],
+)
+def test_trusted_placement_matches_encode(graph):
+    # the loop's coefficients q + lam * S under a shuffled sigma, placed unchecked
+    rng = np.random.default_rng(31)
+    n = graph.n
+    for _ in range(10):
+        q = rng.uniform(-1.0, 1.0, size=(n, n))
+        s = tabu_update(tabu_init(rng.choice([-1, 1], size=n)), rng.choice([-1, 1], size=n))
+        coeffs = q + q.T + float(rng.uniform(0.1, 2.0)) * s.s
+        sigma = rng.permutation(n)
+        placed = _place(coeffs, sigma, graph)
+        checked = encode(coeffs, sigma, graph)
+        assert placed.theta.tobytes() == checked.theta.tobytes()
+        assert placed.placement is sigma and checked.placement is sigma
+        WeightMatrix(placed.theta, graph)  # the unchecked result passes the public checks
 
 
 def test_encoding_invariance_on_complete_graph():

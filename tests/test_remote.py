@@ -152,6 +152,21 @@ def test_client_scales_before_sending():
         assert request["couplings"] == [[0, 1, 0.25]]
 
 
+def test_client_payload_divides_normal_weights_by_one_factor():
+    # the payload is theta / max(max|bias| / delta, max|coupling| / gamma), bit for bit,
+    # also for a subnormal entry beside normal ones
+    theta = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, 3))
+    theta = theta + theta.T
+    theta[0, 1] = theta[1, 0] = 1e-310
+    c = max(np.abs(np.diagonal(theta)).max() / 2.0, np.abs(np.triu(theta, 1)).max() / 1.0)
+    with _Service() as svc:
+        RemoteSampler(svc.url).sample(WeightMatrix(theta, complete_graph(3)), 2)
+        request = svc.requests[-1]
+    assert request["biases"] == [float(b) for b in np.diagonal(theta) / c]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert request["couplings"] == [[i, j, float(theta[i, j] / c)] for i, j in pairs]
+
+
 def test_info_capabilities():
     with _Service() as svc:
         info = RemoteSampler(svc.url).info()

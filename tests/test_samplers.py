@@ -225,13 +225,15 @@ def coefficients(kind, n, rng):
 
 
 @pytest.mark.parametrize("kind", ["float", "integer", "decimal", "zero", "ternary"])
-@pytest.mark.parametrize("n", [3, 8, 12])
+@pytest.mark.parametrize("n", [3, 8, 12, 16])
 def test_exact_sample_matches_enumerating_the_qubit_weights(kind, n):
     rng = np.random.default_rng(n)
     g = complete_graph(n)
     for trial in range(4):
         c = coefficients(kind, n, rng)
-        cases = [WeightMatrix(c, g)] + [encode(c, rng.permutation(n), g) for _ in range(3)]
+        # placements of any integer dtype: at n=16, 1 << 15 fits in neither 8 bits nor int16
+        dtypes = (np.int64, np.int8, np.uint8, np.int16)
+        cases = [WeightMatrix(c, g)] + [encode(c, rng.permutation(n).astype(d), g) for d in dtypes]
         for w in cases:
             got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             np.testing.assert_array_equal(
@@ -626,6 +628,15 @@ def test_positive_scaling_argmin_invariance():
         before, _ = exact_minimizers(w)
         after, _ = exact_minimizers(weights(w.theta * c, w.graph))
         np.testing.assert_array_equal(before, after)
+
+
+@pytest.mark.parametrize("entry, bounds", [((0, 0), (10.0, 1.0)), ((0, 1), (1.0, 3.0))])
+def test_scale_subnormal_weights_attain_the_bound(entry, bounds):
+    # 5e-324 / bound underflows to 0; an exact power of two first makes it normal
+    theta = np.zeros((2, 2))
+    theta[entry] = theta[entry[::-1]] = 5e-324
+    out = scale_to_ranges(weights(theta, complete_graph(2)), *bounds)
+    assert out.theta[entry] == bounds[entry[0] != entry[1]]
 
 
 def test_scale_bounds_attained():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qals import (
     complete_graph,
     decode,
     objective,
+    random_qubo,
     solve,
     tabu_init,
     tabu_update,
@@ -394,3 +396,49 @@ def test_solve_sampler_failure_without_message_constructor_reraised():
         solve(problem, complete_graph(2), FailingSampler(error), QalsParams(i_max=5))
     assert info.value is error
     assert str(error) == "rate limited"
+
+
+# ------------------------------------------------------------ trust boundary
+
+
+class CountingSampler:
+    """Uniform noise that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample(self, theta, k, rng):
+        self.calls += 1
+        return RandomSampler().sample(theta, k, rng)
+
+
+@pytest.mark.parametrize(
+    "entry, value, match", [((0, 0), np.nan, "non-finite"), ((0, 1), 5.0, "symmetric")]
+)
+def test_solve_checks_q_changed_after_construction(entry, value, match):
+    problem = QuboProblem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    problem.q[entry] = value
+    sampler = CountingSampler()
+    with pytest.raises(ValueError, match=match):
+        solve(problem, complete_graph(2), sampler, QalsParams(i_max=5))
+    assert sampler.calls == 0
+
+
+def test_solve_rejects_coefficients_that_could_overflow():
+    # lambda0 * S reaches 1e308 * 201 and beyond, so energies would be inf or NaN
+    problem = random_qubo(8, 0.5, (-1, 1), np.random.default_rng(0))
+    sampler = CountingSampler()
+    with pytest.raises(ValueError, match="lambda0"):
+        solve(problem, complete_graph(8), sampler, QalsParams(lambda0=1e308, i_max=200, seed=1))
+    assert sampler.calls == 0
+
+
+def test_solve_accepts_a_large_lambda0_within_the_bound():
+    # sum|Q| + lambda0 * (i_max + 1) * n^2 is about 1.3e304, below the limit,
+    # and no weight or energy of the run overflows
+    problem = random_qubo(8, 0.5, (-1, 1), np.random.default_rng(0))
+    params = QalsParams(lambda0=1e300, i_max=200, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(problem, complete_graph(8), ExactSampler(), params)
+    assert math.isfinite(report.f_best)
