@@ -254,7 +254,7 @@ def energies(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """
     zf = np.asarray(Z, dtype=np.float64)
     upper = np.where(_strict_upper_mask(weights.shape[0]), weights, 0.0)  # np.triu(weights, 1)
-    return split_energies(np.diagonal(weights), upper, zf)
+    return split_energies(weights.diagonal(), upper, zf)
 
 
 @lru_cache(maxsize=16)
@@ -271,7 +271,7 @@ def split_energies(bias: np.ndarray, upper: np.ndarray, zf: np.ndarray) -> np.nd
     ``zf`` is a float64 spin array. This is the arithmetic of ``energies``
     itself, for callers that already hold the split weights.
     """
-    return zf @ bias + ((zf @ upper) * zf).sum(axis=1)
+    return zf @ bias + np.add.reduce((zf @ upper) * zf, axis=1)  # the reduction of .sum(axis=1)
 
 
 def energy(theta: WeightMatrix, z: np.ndarray) -> float:

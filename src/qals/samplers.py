@@ -49,15 +49,24 @@ class Sampler(Protocol):
         ...
 
 
+_SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)  # the spin of bit value 0 and 1
+
+
+@functools.cache
+def _shifts(n: int) -> np.ndarray:
+    """Read-only int64 shifts ``n-1, ..., 0``: bit ``n-1-i`` of an index drives spin i."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    shifts.flags.writeable = False
+    return shifts
+
+
 def spins_at(n: int, indices: np.ndarray) -> np.ndarray:
     """Spin rows of {-1,+1}^n at the given lexicographic state indices.
 
     Index 0 is the all -1 vector and indices increase in lexicographic
     order with -1 < +1 (bit n-1-i of the index drives component i).
     """
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1
-    return (2 * bits - 1).astype(SPIN_DTYPE)
+    return _SPINS[(np.asarray(indices, dtype=np.int64)[:, None] >> _shifts(n)) & 1]
 
 
 @functools.cache
@@ -65,13 +74,26 @@ def _spin_table(l: int) -> np.ndarray:
     """Read-only float spin rows of all 2^l states, in lexicographic order.
 
     Cached because it depends on ``l`` alone and building it is a large
-    share of the fixed cost of a small enumeration;
-    ``l <= ENUMERATION_LIMIT - ENUMERATION_LIMIT // 2`` keeps the cache under
-    1 MB.
+    share of the fixed cost of a small enumeration. With ``_spin_columns``,
+    its transpose, ``l <= ENUMERATION_LIMIT - ENUMERATION_LIMIT // 2`` keeps
+    the two caches under 1.5 MB together.
     """
     table = spins_at(l, np.arange(1 << l)).astype(np.float64)
     table.flags.writeable = False
     return table
+
+
+@functools.cache
+def _spin_columns(l: int) -> np.ndarray:
+    """``_spin_table(l).T`` as a read-only C-contiguous copy.
+
+    The enumeration block product takes this rather than the transposed
+    (F-ordered) view: the values and the result are the same, but with two
+    BLAS threads the view's product at l = 8 took about ten times as long.
+    """
+    columns = np.ascontiguousarray(_spin_table(l).T)
+    columns.flags.writeable = False
+    return columns
 
 
 def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -90,14 +112,16 @@ def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
     the lexicographic indices of the minimizers in increasing order, and
     the energy of the first of them as one ``energies`` row, which equals
     ``energy(theta, minimizers[0])`` bit for bit. Memory is the spin table
-    of L, one block, and 16 bytes per state within the slack of the running
-    minimum. Callers pass finite weights and enforce ``ENUMERATION_LIMIT``.
+    of L and its transpose, one block, and 16 bytes per state within the
+    slack of the running minimum. Callers pass finite weights and enforce
+    ``ENUMERATION_LIMIT``.
     """
     n = weights.shape[0]
     h, l = n // 2, n - n // 2
     upper = np.triu(weights, k=1)
     bias = np.diagonal(weights)
     z_low = _spin_table(l)
+    z_low_t = _spin_columns(l)
     z_high = z_low[: 1 << h, l - h :]
     e_low = split_energies(bias[h:], upper[h:, h:], z_low)
     e_high = split_energies(bias[:h], upper[:h, :h], z_high)
@@ -107,7 +131,7 @@ def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
     best = np.inf
     found = []  # (indices, table energies) within the slack of the running minimum
     for row in range(0, 1 << h, rows):
-        t = cross[row : row + rows] @ z_low.T
+        t = cross[row : row + rows] @ z_low_t
         t += e_low
         t += e_high[row : row + rows, None]
         t = t.ravel()
@@ -160,35 +184,39 @@ class ExactSampler:
         """Return k states drawn uniformly from the exact minimizer set.
 
         The weights are pulled back to the logical frame,
-        ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
-        (the identity when None), and that landscape is enumerated with
-        ``enumerate_minima`` (ties within its rounding slack). The logical
-        minimizer indices are mapped to qubit order, sorted, and the draw is
-        one ``rng.integers(0, count, size=k)`` call, so the result is a
-        function of the pulled-back weights, sigma and the rng alone. The
-        last pulled-back weights and their minimizer indices are cached: a
-        call with equal pulled-back weights (on a complete graph, the same
-        coefficients under any placement) reuses the indices. Holds one
-        enumeration block plus 16 bytes per minimizer during a call, and 8
-        bytes per minimizer between calls.
+        ``theta.theta[np.ix_(sigma, sigma)]`` (taken as rows, then columns)
+        with sigma ``theta.placement`` (the identity when None), and that
+        landscape is enumerated with ``enumerate_minima`` (ties within its
+        rounding slack). The logical minimizer indices are mapped to qubit
+        order, sorted, and the draw is one ``rng.integers(0, count, size=k)``
+        call, skipped when the set has one state (that call returns zeros
+        and draws nothing), so the result is a function of the pulled-back
+        weights, sigma and the rng alone. The last pulled-back weights and
+        their minimizer indices are cached: a call with equal pulled-back
+        weights (on a complete graph, the same coefficients under any
+        placement) reuses the indices. Holds one enumeration block plus 16
+        bytes per minimizer during a call, and 8 bytes per minimizer between
+        calls.
         """
         _check_enumerable(theta.n)
         if k < 1:
             raise ValueError("k must be at least 1")
         n = theta.n
         sigma = np.arange(n) if theta.placement is None else theta.placement
-        logical = theta.theta[np.ix_(sigma, sigma)]
+        logical = theta.theta.take(sigma, 0).take(sigma, 1)
         last = self._last
-        if last is None or not np.array_equal(last[0], logical):
+        if last is None or last[0].shape != logical.shape or not (last[0] == logical).all():
             last = self._last = (logical, enumerate_minima(logical)[0])
         found = last[1]
         # logical variable i sits on qubit sigma[i]: its bit n-1-i moves to bit n-1-sigma[i]
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        shifts = _shifts(n)
         place = 1 << shifts[sigma]
         indices = np.empty_like(found)
         rows = max(1, (1 << _BLOCK_BITS) // n)
         for lo in range(0, found.size, rows):
             indices[lo : lo + rows] = ((found[lo : lo + rows, None] >> shifts) & 1) @ place
+        if indices.size == 1:
+            return spins_at(n, indices.repeat(k))
         indices.sort()
         return spins_at(n, indices[rng.integers(0, indices.size, size=k)])
 
@@ -231,6 +259,16 @@ class SaSchedule:
         return np.geomspace(lo, hi, self.sweeps)
 
 
+# Every derived endpoint is at most this, so 2 * beta is finite: at an
+# infinite beta a spin with zero local field would get 0 * inf = NaN.
+_BETA_MAX = sys.float_info.max / 4
+
+
+def _beta_for(log_odds: float, gap: float) -> float:
+    """``log_odds / gap``, or ``_BETA_MAX`` where that quotient would exceed it."""
+    return log_odds / gap if gap > log_odds / _BETA_MAX else _BETA_MAX
+
+
 def _auto_beta_range(theta: np.ndarray) -> tuple[float, float]:
     magnitudes = np.abs(theta)
     biases = np.diagonal(magnitudes)
@@ -240,8 +278,8 @@ def _auto_beta_range(theta: np.ndarray) -> tuple[float, float]:
         return 1.0, 1.0
     nonzero = magnitudes[magnitudes > 0.0]
     min_gap = 2.0 * nonzero.min()
-    hot = np.log(2.0) / max_gain
-    cold = max(np.log(100.0) / min_gap, hot)
+    hot = _beta_for(np.log(2.0), max_gain)
+    cold = max(_beta_for(np.log(100.0), min_gap), hot)
     return hot, cold
 
 
@@ -321,35 +359,56 @@ class RandomSampler:
         """k uniform random spin vectors."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        return (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(SPIN_DTYPE)
+        return _SPINS[rng.integers(0, 2, size=(k, theta.n))]
+
+
+def _quotient(x: float, y: float) -> tuple[int, float]:
+    """``x / y`` for finite ``x > 0`` and ``y > 0`` as ``(e, m)`` with ``x / y = m * 2**e``.
+
+    ``m`` lies in [1, 2) and is the quotient of the two mantissas, rounded
+    once, so it holds the bits of ``x / y`` wherever that quotient is a
+    normal float; ``e`` is not limited to the float exponent range.
+    """
+    fx, ex = math.frexp(x)
+    fy, ey = math.frexp(y)
+    f, e = math.frexp(fx / fy)
+    return ex - ey + e - 1, 2.0 * f
 
 
 def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMatrix:
     """Rescale weights so biases fill [-delta, delta] and couplings [-gamma, gamma].
 
-    Divides by the smallest factor that brings every entry inside its range,
-    so at least one bound is attained; positive scaling leaves the minimizer
-    set untouched. A zero matrix is returned unchanged. Weights whose largest
-    magnitude is subnormal are first multiplied by an exact power of two.
+    Divides by the smallest factor ``c = max(max|bias| / delta, max|coupling|
+    / gamma)`` that brings every entry inside its range, so at least one
+    bound is attained; positive scaling leaves the minimizer set untouched.
+    A zero matrix is returned unchanged. ``c`` is formed as a mantissa and an
+    unbounded exponent, so neither it nor the result is lost to overflow or
+    underflow: when ``c`` is a normal float the result is ``weights / c``,
+    and otherwise each entry is divided by the mantissa and scaled by a
+    power of two, in the order that keeps every intermediate finite, which
+    rounds it once unless the result is subnormal.
 
     The bounds are checked; the result is built without ``WeightMatrix``'s
     checks, because dividing a checked matrix by one positive scalar keeps
-    it symmetric and zero off the edge set, and every entry ends within its
-    finite bound.
+    it symmetric and zero off the edge set, and every entry ends finite,
+    within its bound or (by the rounding of ``c``) one ulp beyond it.
     """
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
         raise ValueError("range bounds must be positive and finite")
     weights = theta.theta
     bias = np.abs(theta.biases).max()
     coupling = np.abs(np.triu(weights, k=1)).max()
-    if 0.0 < max(bias, coupling) < np.finfo(np.float64).smallest_normal:
-        # max / delta could underflow to 0. Every entry is subnormal or zero,
-        # so multiplying by 2**1074 (which takes 5e-324 to 1) is exact.
-        weights, bias, coupling = (np.ldexp(x, 1074) for x in (weights, bias, coupling))
-    c = max(bias / delta, coupling / gamma)
-    if c == 0.0:
+    ratios = [_quotient(x, bound) for x, bound in ((bias, delta), (coupling, gamma)) if x > 0.0]
+    if not ratios:
         return theta
-    return WeightMatrix._trusted(weights / c, theta.graph, theta.placement)
+    e, m = max(ratios)
+    if -1022 <= e <= 1023:  # c = m * 2**e is a normal float, max(bias / delta, coupling / gamma)
+        scaled = weights / math.ldexp(m, e)
+    elif e > 0:  # dividing by m >= 1 cannot overflow, and the power of two only shrinks
+        scaled = np.ldexp(weights / m, -e)
+    else:  # |w| * 2**(-e-1) <= bound * m / 2 < bound, so the exact power of two cannot overflow
+        scaled = np.ldexp(weights, -e - 1) / (m / 2)
+    return WeightMatrix._trusted(scaled, theta.graph, theta.placement)
 
 
 def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -375,7 +434,7 @@ def estimate_argmin(
     differ in the last ulp and would not give a stable rule.
     """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
-    return samples[int(np.argmin(energies(theta.theta, samples)))]
+    return samples[int(energies(theta.theta, samples).argmin())]
 
 
 class RemoteSampler:

@@ -64,12 +64,19 @@ def modify_permutation(sigma: np.ndarray, pr: float, rng: np.random.Generator) -
     """Mark each index with probability pr and shuffle the marked images.
 
     pr = 0 returns the input unchanged; pr = 1 shuffles every image
-    uniformly at random.
+    uniformly at random. The draws are one ``rng.random(n)`` and, when at
+    least two indices are marked, one ``rng.shuffle`` of the marked images,
+    which consumes the rng as ``rng.permutation`` of their count would (a
+    permutation of 0 or 1 items draws nothing).
     """
     sigma = np.asarray(sigma)
-    marked = np.flatnonzero(rng.random(sigma.size) < pr)
+    marked = (rng.random(sigma.size) < pr).nonzero()[0]
     out = sigma.copy()
-    out[marked] = sigma[marked][rng.permutation(marked.size)]
+    if marked.size < 2:
+        return out
+    moved = sigma[marked]
+    rng.shuffle(moved)
+    out[marked] = moved
     return out
 
 

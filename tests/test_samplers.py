@@ -1,6 +1,7 @@
 """Local sampler backends, the argmin estimator, and range scaling."""
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +272,52 @@ def test_reused_exact_sampler_matches_a_fresh_one_per_call(monkeypatch):
     assert warm._last[1].dtype == np.int64  # indices, not spin rows, are kept between calls
 
 
+def test_enumeration_operand_is_a_read_only_contiguous_transpose():
+    import qals.samplers as sam
+
+    for l in (1, 8, 12):
+        columns = sam._spin_columns(l)
+        assert columns.flags.c_contiguous and not columns.flags.writeable
+        np.testing.assert_array_equal(columns, sam._spin_table(l).T)
+
+
+def test_exact_sample_draws_only_from_a_set_of_several():
+    g = complete_graph(6)
+    unique = weights(np.diag([1.0, -2.0, 1.0, 3.0, -1.0, 0.5]), g)  # one minimizer
+    flat = zero_weights(6)  # all 64 states tie
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    rows = ExactSampler().sample(unique, 5, rng)
+    assert rng.bit_generator.state == before  # nothing drawn
+    np.testing.assert_array_equal(rows, np.tile([-1, 1, -1, -1, 1, -1], (5, 1)))
+    ref = np.random.default_rng(3)
+    ref.integers(0, 64, size=5)
+    ExactSampler().sample(flat, 5, rng)
+    assert rng.bit_generator.state == ref.bit_generator.state  # one integers(0, count, size=k)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, monkeypatch):
+    import qals.samplers as sam
+
+    calls = []
+    enumerate_minima = sam.enumerate_minima
+    monkeypatch.setattr(sam, "enumerate_minima", lambda w: calls.append(w) or enumerate_minima(w))
+    rng = np.random.default_rng(11)
+    chimera = chimera_graph(1)
+    warm = ExactSampler()
+    for kind in ("float", "decimal", "zero"):
+        c = coefficients(kind, 8, rng)
+        sigma = rng.permutation(8).astype(dtype)
+        for step in range(3):  # one miss, then two hits
+            w = encode(c, sigma.copy(), chimera)
+            before = len(calls)
+            rows = warm.sample(w, 7, np.random.default_rng(step))
+            assert len(calls) - before == (step == 0), (kind, step)
+            fresh = ExactSampler().sample(w, 7, np.random.default_rng(step))
+            np.testing.assert_array_equal(rows, fresh)
+
+
 def test_placement_is_recorded_by_encode_only():
     g = complete_graph(4)
     c = coefficients("float", 4, np.random.default_rng(0))
@@ -296,6 +343,16 @@ def test_random_sample_reproducible():
     a = RandomSampler().sample(zero_weights(5), 4, np.random.default_rng(42))
     b = RandomSampler().sample(zero_weights(5), 4, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
+
+
+def test_random_sample_consumes_the_rng_as_the_arithmetic_spin_map():
+    got, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for k, n in ((1, 1), (5, 7), (10, 8)):
+        rows = RandomSampler().sample(zero_weights(n), k, got)
+        expected = (2 * ref.integers(0, 2, size=(k, n)) - 1).astype(np.int8)
+        assert rows.dtype == np.int8
+        np.testing.assert_array_equal(rows, expected)
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_sample_balanced():
@@ -518,6 +575,29 @@ def test_schedule_stores_numpy_sweeps_as_int():
     assert type(schedule.sweeps) is int and schedule.betas(zero_weights(2)).size == 4
 
 
+@pytest.mark.parametrize(
+    "theta", [[[1.0, 5e-324], [5e-324, 1.0]], [[5e-324, 5e-324], [5e-324, 5e-324]]]
+)
+def test_derived_betas_stay_finite_on_subnormal_weights(theta):
+    from qals.samplers import _auto_beta_range
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing quotient warns
+        hot, cold = _auto_beta_range(np.array(theta))
+    assert 0.0 < hot <= cold and np.isfinite(2.0 * cold)
+
+
+def test_metropolis_flips_a_zero_field_spin_at_the_coldest_derived_beta():
+    # spin 2 has no bias and no coupling, so each sweep flips it; at an
+    # infinite beta its acceptance value would be 0 * inf = NaN and it would stay
+    w = weights(np.diag([1.0, 5e-324, 0.0]), complete_graph(3))
+    initial = 2 * np.random.default_rng(0).integers(0, 2, size=(8, 3)) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = MetropolisSampler(SaSchedule(sweeps=3)).sample(w, 8, np.random.default_rng(0))
+    np.testing.assert_array_equal(rows[:, 2], -initial[:, 2])
+
+
 # ------------------------------------------------------------ estimate_argmin
 
 
@@ -637,6 +717,32 @@ def test_scale_subnormal_weights_attain_the_bound(entry, bounds):
     theta[entry] = theta[entry[::-1]] = 5e-324
     out = scale_to_ranges(weights(theta, complete_graph(2)), *bounds)
     assert out.theta[entry] == bounds[entry[0] != entry[1]]
+
+
+@pytest.mark.parametrize(
+    "entry, value, bounds",
+    [
+        ((0, 0), 1e308, (1e-10, 1.0)),  # max / delta overflows
+        ((0, 0), 2.3e-308, (1e300, 1.0)),  # ... and underflows
+        ((0, 1), 1e308, (1.0, 1e-10)),
+        ((0, 1), 2.3e-308, (1.0, 1e300)),
+    ],
+)
+def test_scale_attains_the_bound_when_the_factor_is_out_of_range(entry, value, bounds):
+    theta = np.zeros((2, 2))
+    theta[entry] = theta[entry[::-1]] = value
+    out = scale_to_ranges(weights(theta, complete_graph(2)), *bounds)
+    assert out.theta[entry] == bounds[entry[0] != entry[1]]
+
+
+def test_scale_keeps_both_ranges_when_the_factor_is_out_of_range():
+    theta = np.array([[1e308, -1e300], [-1e300, 4.0]])
+    for delta, gamma in ((1e-10, 1e-10), (1e-300, 1.0), (1e-10, 1e-310)):
+        out = scale_to_ranges(weights(theta, complete_graph(2)), delta, gamma)
+        biases, coupling = np.abs(out.biases), abs(out.theta[0, 1])
+        assert biases.max() <= delta and coupling <= gamma
+        assert biases.max() == delta or coupling == gamma
+        assert out.theta[0, 1] == out.theta[1, 0] <= 0.0
 
 
 def test_scale_bounds_attained():

@@ -77,6 +77,28 @@ def test_modify_permutation_unmarked_left_in_place():
     assert (out == sigma).sum() >= 45
 
 
+def _shuffle_by_index_permutation(sigma, pr, rng):
+    """Reference: permute the marked images through rng.permutation of their count."""
+    marked = np.flatnonzero(rng.random(sigma.size) < pr)
+    out = sigma.copy()
+    out[marked] = sigma[marked][rng.permutation(marked.size)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8])
+def test_modify_permutation_consumes_the_rng_as_a_permutation_of_the_marked(n, dtype):
+    for pr in (0.0, 0.05, 0.3, 1.0):
+        got, ref = np.random.default_rng(n), np.random.default_rng(n)
+        sigma = np.random.default_rng(0).permutation(n).astype(dtype)
+        for _ in range(30):
+            out = modify_permutation(sigma, pr, got)
+            np.testing.assert_array_equal(out, _shuffle_by_index_permutation(sigma, pr, ref))
+            assert out.dtype == dtype and out is not sigma
+            assert got.bit_generator.state == ref.bit_generator.state
+            sigma = out
+
+
 # ------------------------------------------------------------ perturbation
 
 
