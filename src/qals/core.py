@@ -309,20 +309,6 @@ def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
     return TabuMatrix._trusted(s.s + _tabu_term(z), s.m + 1)
 
 
-def conjugate_tabu(s: TabuMatrix, sigma: np.ndarray) -> TabuMatrix:
-    """Relabel the tabu matrix so entry (i, j) moves to (sigma[i], sigma[j]).
-
-    Equals the tabu matrix that the sigma-relabeled candidates would have
-    generated directly.
-    """
-    sigma = np.asarray(sigma)
-    if sigma.size != s.n or not is_permutation(sigma):
-        raise ValueError("sigma is not a permutation of the tabu matrix's indices")
-    out = np.zeros_like(s.s)
-    out[np.ix_(sigma, sigma)] = s.s
-    return TabuMatrix(out, m=s.m)
-
-
 def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> WeightMatrix:
     """Map a symmetric coefficient matrix onto the hardware graph.
 

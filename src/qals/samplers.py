@@ -174,8 +174,9 @@ class ExactSampler:
     """Oracle backend: every sample is a true minimizer of the landscape.
 
     Keeps the last logical landscape it enumerated and the indices of its
-    minimizers, so a call that sees the same pulled-back weights under
-    another placement skips the enumeration.
+    minimizers, and the spins of the minimizer when there is only one, so a
+    call that sees the same pulled-back weights under another placement
+    skips the enumeration.
     """
 
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -187,16 +188,21 @@ class ExactSampler:
         ``theta.theta[np.ix_(sigma, sigma)]`` (taken as rows, then columns)
         with sigma ``theta.placement`` (the identity when None), and that
         landscape is enumerated with ``enumerate_minima`` (ties within its
-        rounding slack). The logical minimizer indices are mapped to qubit
-        order, sorted, and the draw is one ``rng.integers(0, count, size=k)``
-        call, skipped when the set has one state (that call returns zeros
-        and draws nothing), so the result is a function of the pulled-back
-        weights, sigma and the rng alone. The last pulled-back weights and
-        their minimizer indices are cached: a call with equal pulled-back
-        weights (on a complete graph, the same coefficients under any
-        placement) reuses the indices. Holds one enumeration block plus 16
-        bytes per minimizer during a call, and 8 bytes per minimizer between
-        calls.
+        rounding slack). A set of one state is placed directly: its logical
+        spins are written into one qubit-order row, ``row[sigma] = spins``,
+        and the k rows are copies of it; the rng is not drawn, as
+        ``rng.integers(0, 1, size=k)`` would return zeros and draw nothing.
+        A larger set has its logical minimizer indices mapped to qubit
+        order and sorted, and the draw is one ``rng.integers(0, count,
+        size=k)`` call. So the result is a function of the pulled-back
+        weights, sigma and the rng alone, and always a fresh, writable
+        ``(k, n)`` array. The last pulled-back weights, their minimizer
+        indices and, for a one-state set, its n logical spins are cached: a
+        call with equal pulled-back weights (on a complete graph, the same
+        coefficients under any placement) reuses them. Holds one
+        enumeration block plus 16 bytes per minimizer during a call, and
+        between calls 8 bytes per minimizer plus n bytes for a one-state
+        set.
         """
         _check_enumerable(theta.n)
         if k < 1:
@@ -206,8 +212,14 @@ class ExactSampler:
         logical = theta.theta.take(sigma, 0).take(sigma, 1)
         last = self._last
         if last is None or last[0].shape != logical.shape or not (last[0] == logical).all():
-            last = self._last = (logical, enumerate_minima(logical)[0])
-        found = last[1]
+            found = enumerate_minima(logical)[0]
+            single = spins_at(n, found)[0] if found.size == 1 else None
+            last = self._last = (logical, found, single)
+        _, found, single = last
+        if single is not None:
+            row = np.empty(n, dtype=SPIN_DTYPE)
+            row[sigma] = single  # logical variable i sits on qubit sigma[i]
+            return row[None].repeat(k, 0)
         # logical variable i sits on qubit sigma[i]: its bit n-1-i moves to bit n-1-sigma[i]
         shifts = _shifts(n)
         place = 1 << shifts[sigma]
@@ -215,8 +227,6 @@ class ExactSampler:
         rows = max(1, (1 << _BLOCK_BITS) // n)
         for lo in range(0, found.size, rows):
             indices[lo : lo + rows] = ((found[lo : lo + rows, None] >> shifts) & 1) @ place
-        if indices.size == 1:
-            return spins_at(n, indices.repeat(k))
         indices.sort()
         return spins_at(n, indices[rng.integers(0, indices.size, size=k)])
 
@@ -386,12 +396,15 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     underflow: when ``c`` is a normal float the result is ``weights / c``,
     and otherwise each entry is divided by the mantissa and scaled by a
     power of two, in the order that keeps every intermediate finite, which
-    rounds it once unless the result is subnormal.
+    rounds it once unless the result is subnormal. The rounding of ``c`` can
+    send an entry one ulp beyond its bound, so the biases are then clipped
+    into [-delta, delta] and the couplings into [-gamma, gamma]; an entry
+    already inside keeps its bits.
 
     The bounds are checked; the result is built without ``WeightMatrix``'s
-    checks, because dividing a checked matrix by one positive scalar keeps
-    it symmetric and zero off the edge set, and every entry ends finite,
-    within its bound or (by the rounding of ``c``) one ulp beyond it.
+    checks, because dividing a checked matrix by one positive scalar and
+    clipping it entrywise keeps it symmetric and zero off the edge set, and
+    every entry ends finite and within its bound.
     """
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
         raise ValueError("range bounds must be positive and finite")
@@ -408,6 +421,9 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
         scaled = np.ldexp(weights / m, -e)
     else:  # |w| * 2**(-e-1) <= bound * m / 2 < bound, so the exact power of two cannot overflow
         scaled = np.ldexp(weights, -e - 1) / (m / 2)
+    biases = np.clip(np.diagonal(scaled), -delta, delta)
+    np.clip(scaled, -gamma, gamma, out=scaled)
+    np.fill_diagonal(scaled, biases)
     return WeightMatrix._trusted(scaled, theta.graph, theta.placement)
 
 
@@ -431,9 +447,13 @@ def estimate_argmin(
     exact float equality and the first tied row wins. The rule compares the
     values of that one call only, which are a deterministic function of the
     samples, so the pick is too; values from calls of other sizes could
-    differ in the last ulp and would not give a stable rule.
+    differ in the last ulp and would not give a stable rule. When the k
+    rows are identical the first is returned unscored: every row has the
+    same spins, so the tie rule would pick the same state.
     """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
+    if samples.tobytes() == samples[0].tobytes() * k:  # validated: C-contiguous int8
+        return samples[0]
     return samples[int(energies(theta.theta, samples).argmin())]
 
 

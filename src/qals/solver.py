@@ -167,7 +167,11 @@ def solve(
     ``modify_permutation`` of a checked one, ``q + lam * S`` is finite and
     exactly symmetric, and each sample was checked by ``estimate_argmin``.
     So it places the coefficients with ``_place`` and reads the sample back
-    as ``y[sigma]``, without ``encode``'s and ``decode``'s checks.
+    as ``y[sigma]``, without ``encode``'s and ``decode``'s checks. The
+    coefficients ``q + lam * S`` are built once before the loop and again
+    only where an evaluated candidate updates lam or the tabu matrix; an
+    iteration that returns the current solution changes neither, so it
+    places the same coefficients under its new sigma.
     """
     n = problem.n
     if graph.n != n:
@@ -208,9 +212,9 @@ def solve(
     z_best, f_best = z_star.copy(), f_star
     best_found_at = 0
     trace = [] if record_trace else None
+    coeffs = problem.q + lam * tabu.s
 
     while True:
-        coeffs = problem.q + lam * tabu.s
         if i % params.N == 0:
             p = update_p(p, params.p_delta, params.eta)
         sigma = modify_permutation(sigma_star, p, perm_rng)
@@ -221,7 +225,7 @@ def solve(
 
         f_prime = None
         accepted = improved = False
-        if not (z_prime == z_star).all():  # both are length-n spin vectors
+        if z_prime.tobytes() != z_star.tobytes():  # both are length-n int8 spin vectors
             f_prime = objective(problem, z_prime)
             evaluations += 1
             if f_prime < f_best:
@@ -240,6 +244,7 @@ def solve(
             if improved:
                 tabu = tabu_update(tabu, z_prime)  # the displaced current solution
             lam = update_lambda(params.lambda0, i, e)
+            coeffs = problem.q + lam * tabu.s  # lam and the tabu matrix change only here
         else:
             e += 1
 

@@ -29,10 +29,12 @@ from qals import (
     tabu_init,
     tabu_update,
 )
-from qals.core import as_spins, conjugate_tabu
+from qals.core import as_spins
 from qals.fileio import solve_report_to_json
 from qals.harness import brute_force_min
 from qals.solver import accept_suboptimal, update_p
+
+from helpers import conjugate_tabu
 
 
 def criterion(number, label):

@@ -20,7 +20,9 @@ from qals import (
     tabu_init,
     tabu_update,
 )
-from qals.core import _place, as_spins, conjugate_tabu, is_permutation
+from qals.core import _place, as_spins, is_permutation
+
+from helpers import conjugate_tabu
 
 
 def all_spins(n):

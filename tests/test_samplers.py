@@ -296,7 +296,12 @@ def test_exact_sample_draws_only_from_a_set_of_several():
     assert rng.bit_generator.state == ref.bit_generator.state  # one integers(0, count, size=k)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+def two_cells():
+    """The first two cells of ``chimera_graph(2)``: 16 qubits, within the enumeration limit."""
+    return TopologyGraph(16, [(i, j) for i, j in chimera_graph(2).edges if j < 16])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64])
 def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, monkeypatch):
     import qals.samplers as sam
 
@@ -304,18 +309,57 @@ def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, m
     enumerate_minima = sam.enumerate_minima
     monkeypatch.setattr(sam, "enumerate_minima", lambda w: calls.append(w) or enumerate_minima(w))
     rng = np.random.default_rng(11)
-    chimera = chimera_graph(1)
+    for graph in (complete_graph(16), chimera_graph(1), two_cells()):
+        n = graph.n
+        warm = ExactSampler()
+        for kind in ("float", "decimal", "zero"):
+            c = coefficients(kind, n, rng)
+            sigma = rng.permutation(n).astype(dtype)
+            for step in range(3):  # one miss, then two hits
+                if graph.num_edges == n * (n - 1) // 2 and step:
+                    sigma = rng.permutation(n).astype(dtype)  # complete: a hit under any placement
+                w = encode(c, sigma.copy(), graph)
+                before = len(calls)
+                got_rng, ref_rng = np.random.default_rng(step), np.random.default_rng(step)
+                rows = warm.sample(w, 7, got_rng)
+                assert len(calls) - before == (step == 0), (n, kind, step)
+                np.testing.assert_array_equal(rows, ExactSampler().sample(w, 7, ref_rng))
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state, (n, kind, step)
+            if kind == "float":  # a unique minimizer: the hits took the one-state path
+                assert warm._last[1].size == 1 and warm._last[2].dtype == np.int8
+
+
+def test_exact_sampler_alternating_set_sizes_matches_fresh_samplers():
+    rng = np.random.default_rng(5)
+    g = complete_graph(10)
+    unique, tied = coefficients("float", 10, rng), coefficients("ternary", 10, rng)
+    np.fill_diagonal(tied, 0.0)  # no biases: z and -z tie, so the set has several states
     warm = ExactSampler()
-    for kind in ("float", "decimal", "zero"):
-        c = coefficients(kind, 8, rng)
-        sigma = rng.permutation(8).astype(dtype)
-        for step in range(3):  # one miss, then two hits
-            w = encode(c, sigma.copy(), chimera)
-            before = len(calls)
-            rows = warm.sample(w, 7, np.random.default_rng(step))
-            assert len(calls) - before == (step == 0), (kind, step)
-            fresh = ExactSampler().sample(w, 7, np.random.default_rng(step))
-            np.testing.assert_array_equal(rows, fresh)
+    sizes = set()
+    for step in range(12):
+        c = (unique, tied)[step // 2 % 2]  # two calls per landscape: a miss, then a hit
+        w = encode(c, rng.permutation(10), g)
+        got_rng, ref_rng = np.random.default_rng(step), np.random.default_rng(step)
+        rows = warm.sample(w, 5, got_rng)
+        sizes.add(warm._last[1].size)
+        np.testing.assert_array_equal(rows, ExactSampler().sample(w, 5, ref_rng))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state, step
+    assert 1 in sizes and max(sizes) > 1
+
+
+@pytest.mark.parametrize("kind", ["float", "zero"])
+def test_exact_sample_returns_a_fresh_writable_array(kind):
+    g = complete_graph(8)
+    c = coefficients(kind, 8, np.random.default_rng(4))
+    sampler = ExactSampler()
+    w = encode(c, np.random.default_rng(1).permutation(8), g)
+    for _ in range(2):  # a miss, then a hit
+        rows = sampler.sample(w, 4, np.random.default_rng(0))
+        assert rows.shape == (4, 8) and rows.dtype == np.int8
+        assert rows.flags.c_contiguous and rows.flags.writeable
+        expected = rows.copy()
+        rows[:] = 0
+        np.testing.assert_array_equal(sampler.sample(w, 4, np.random.default_rng(0)), expected)
 
 
 def test_placement_is_recorded_by_encode_only():
@@ -608,13 +652,28 @@ def test_estimate_argmin_toy_membership():
     assert tuple(int(v) for v in z) in {(1, 1), (-1, 1), (-1, -1)}
 
 
-def test_estimate_argmin_identical_samples():
+def count_energies(monkeypatch):
+    import qals.samplers as sam
+
+    calls = []
+    energies = sam.energies
+    monkeypatch.setattr(sam, "energies", lambda w, z: calls.append(len(z)) or energies(w, z))
+    return calls
+
+
+def test_estimate_argmin_identical_samples(monkeypatch):
     class Fixed:
         def sample(self, theta, k, rng):
-            return np.tile(np.array([1, -1], dtype=np.int8), (k, 1))
+            return np.tile(np.array([1, -1], dtype=np.int64), (k, 1))
 
+    calls = count_energies(monkeypatch)
     w = weights(TOY, complete_graph(2))
     np.testing.assert_array_equal(estimate_argmin(Fixed(), w, 5, np.random.default_rng(0)), [1, -1])
+    assert calls == []  # identical rows are returned unscored
+    unique = weights(np.diag([1.0, -2.0, 1.0]), complete_graph(3))
+    z = estimate_argmin(ExactSampler(), unique, 4, None)  # a one-state set draws nothing
+    np.testing.assert_array_equal(z, [-1, 1, -1])
+    assert calls == []
 
 
 def test_estimate_argmin_zero_landscape():
@@ -623,8 +682,9 @@ def test_estimate_argmin_zero_landscape():
     assert energy(w, z) == 0.0
 
 
-def test_estimate_argmin_picks_first_of_lowest():
+def test_estimate_argmin_picks_first_of_lowest(monkeypatch):
     calls = []
+    scored = count_energies(monkeypatch)
 
     class Scripted:
         def sample(self, theta, k, rng):
@@ -637,6 +697,7 @@ def test_estimate_argmin_picks_first_of_lowest():
     z = estimate_argmin(Scripted(), w, 3, np.random.default_rng(0))
     np.testing.assert_array_equal(z, [1, 1])
     assert calls == [3]
+    assert scored == [3]  # distinct rows are scored in one call
 
 
 def test_estimate_argmin_not_above_any_sample():
@@ -743,6 +804,24 @@ def test_scale_keeps_both_ranges_when_the_factor_is_out_of_range():
         assert biases.max() <= delta and coupling <= gamma
         assert biases.max() == delta or coupling == gamma
         assert out.theta[0, 1] == out.theta[1, 0] <= 0.0
+
+
+def test_scale_never_sends_an_entry_beyond_its_bound():
+    # c = max|bias| / delta is rounded, so 5.16 / c lands one ulp above 7.6
+    out = scale_to_ranges(weights(np.diag([5.16, 0.0]), complete_graph(2)), 7.6, 1.0)
+    assert out.theta[0, 0] == 7.6
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        bias, coupling, delta, gamma = rng.integers(1, 1000, size=4) / 100
+        theta = np.array([[bias, -coupling], [-coupling, -bias / 3]])
+        out = scale_to_ranges(weights(theta, complete_graph(2)), delta, gamma)
+        assert np.abs(out.biases).max() <= delta and abs(out.theta[0, 1]) <= gamma
+        # clipping moves only the entries the division sent beyond their bound
+        divided = theta / max(bias / delta, coupling / gamma)
+        bound = np.array([[delta, gamma], [gamma, delta]])
+        moved = out.theta != divided
+        assert (np.abs(divided[moved]) > bound[moved]).all()
+        np.testing.assert_array_equal(np.abs(out.theta[moved]), bound[moved])
 
 
 def test_scale_bounds_attained():

@@ -14,6 +14,7 @@ from qals import (
     QuboProblem,
     RandomSampler,
     SamplerError,
+    TabuMatrix,
     complete_graph,
     decode,
     objective,
@@ -367,6 +368,32 @@ def test_solve_tabu_grows_only_on_improvement():
     z2 = decode(estimate_argmin(sampler, encode(problem.q, sigma2, graph), params.k, streams["sampler"]), sigma2)
     seeded = 1 if objective(problem, z1) != objective(problem, z2) else 0
     assert report.tabu.m == improvements + seeded
+
+
+def test_solve_places_the_coefficients_of_each_iterations_lambda_and_tabu(monkeypatch):
+    import qals.solver as sol
+
+    placed, tabus = [], []
+    place, init, update = sol._place, sol.tabu_init, sol.tabu_update
+    monkeypatch.setattr(sol, "_place", lambda c, sigma, g: placed.append(c.copy()) or place(c, sigma, g))
+    monkeypatch.setattr(sol, "tabu_init", lambda z: tabus.append(init(z)) or tabus[-1])
+    monkeypatch.setattr(sol, "tabu_update", lambda t, z: tabus.append(update(t, z)) or tabus[-1])
+    problem = random_qubo(7, 0.8, (-1.0, 1.0), np.random.default_rng(9))
+    params = QalsParams(i_max=200, lambda0=0.75, q=0.5, seed=4)
+    report = solve(problem, complete_graph(7), ExactSampler(), params, record_trace=True)
+    trace = report.trace
+    duplicates = sum(t["f_prime"] is None for t in trace)
+    rejected = sum(t["f_prime"] is not None and not t["accepted"] for t in trace)
+    improved = [t["improved"] for t in trace]
+    assert duplicates and rejected and sum(improved)
+    assert len(placed) == report.iterations  # the loop's placements; initialization encodes
+    if len(tabus) == sum(improved):  # the two initial candidates tied: no tabu_init
+        tabus.insert(0, TabuMatrix.zeros(7))
+    lam = params.lambda0
+    for i, t in enumerate(trace):
+        tabu = tabus[sum(improved[:i])]
+        np.testing.assert_array_equal(placed[i], problem.q + lam * tabu.s, err_msg=f"iteration {i}")
+        lam = t["lam"]
 
 
 def test_solve_random_sampler_still_optimizes():
