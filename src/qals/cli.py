@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_solve.add_argument(flag, type=type(f.default), default=f.default, dest=f.name,
                              help=f"QalsParams.{f.name} (default %(default)s)")
     p_solve.add_argument("--trace", action="store_true",
-                         help="record per-iteration state in the report")
+                         help="record per-iteration state in the report (implies --json)")
     p_solve.add_argument("--json", action="store_true",
                          help="print the full report as JSON")
 
@@ -74,7 +74,7 @@ def _cmd_solve(args) -> int:
     graph = make_graph(args.graph, problem.n)
     sampler = make_sampler(args.sampler)
     report = solve(problem, graph, sampler, params, record_trace=args.trace)
-    if args.json:
+    if args.json or args.trace:
         print(solve_report_to_json(report))
     else:
         print(f"f_best: {report.f_best!r}")

@@ -114,10 +114,6 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
             elif key == "range":
                 lo, _, hi = value.partition(":")
                 spec_kwargs["coeff_range"] = (float(lo), float(hi))
-            elif key == "success":
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(value)
-                spec_kwargs["success_stats"] = value.lower() == "true"
             else:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
         except ParseError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -21,11 +22,15 @@ from .solver import reraise_with_context, solve
 from .topology import TopologyGraph, _integer, chimera_graph, complete_graph, load_edge_list
 
 
-def random_qubo(
-    n: int, density: float, coeff_range: tuple, rng: np.random.Generator
-) -> QuboProblem:
-    """Random symmetric instance: each off-diagonal pair kept with
-    probability ``density``, all values uniform over ``coeff_range``."""
+def check_instance_args(n, density: float, coeff_range: tuple) -> int:
+    """The one rule for ``random_qubo``'s arguments, also applied by
+    ``ExperimentSpec``; returns ``n`` as a Python int.
+
+    ``n`` is an integer >= 1, ``density`` lies in [0, 1], and the range is a
+    pair ``lo < hi`` whose width ``hi - lo`` is finite (a wider range cannot
+    be sampled uniformly). Raises ``ValueError`` otherwise.
+    """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= density <= 1.0:
@@ -33,6 +38,19 @@ def random_qubo(
     lo, hi = coeff_range
     if not lo < hi:
         raise ValueError("coefficient range must be a nonempty interval")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"coefficient range {lo}:{hi} is wider than a float can hold")
+    return n
+
+
+def random_qubo(
+    n: int, density: float, coeff_range: tuple, rng: np.random.Generator
+) -> QuboProblem:
+    """Random symmetric instance: each off-diagonal pair kept with
+    probability ``density``, all values uniform over ``coeff_range``.
+    Arguments are checked by ``check_instance_args``."""
+    n = check_instance_args(n, density, coeff_range)
+    lo, hi = coeff_range
     diag = rng.uniform(lo, hi, size=n)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < density
@@ -71,7 +89,8 @@ class ExperimentSpec:
     """One replicated-benchmark configuration.
 
     A single random instance is generated from ``params.seed``; replica r
-    then solves it with seed ``params.seed + r``.
+    then solves it with seed ``params.seed + r``. The instance arguments
+    follow ``check_instance_args``.
     """
 
     n: int
@@ -80,22 +99,13 @@ class ExperimentSpec:
     replicas: int = 10
     backend: str = "sa"
     graph: str = "complete"
-    success_stats: bool = True
     params: QalsParams = field(default_factory=QalsParams)
 
     def __post_init__(self):
-        self.n = _integer(self.n, "n")
+        self.n = check_instance_args(self.n, self.density, self.coeff_range)
         self.replicas = _integer(self.replicas, "replicas")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must lie in (0, 1]")
-        if self.success_stats and self.n > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"success statistics need the brute-force oracle, which supports "
-                f"at most {ENUMERATION_LIMIT} variables (got n={self.n}); "
-                f"set success_stats=false for larger instances"
-            )
 
 
 @dataclass
@@ -135,7 +145,10 @@ def make_graph(selector: str, n: int) -> TopologyGraph:
     if selector == "complete":
         return complete_graph(n)
     if selector.startswith("chimera:"):
-        g = chimera_graph(int(selector.split(":", 1)[1]))
+        size = selector.split(":", 1)[1]
+        if not size.isdecimal():
+            raise ValueError(f"graph selector {selector!r}: chimera size must be a positive integer")
+        g = chimera_graph(int(size))
     elif selector.startswith("file:"):
         g = load_edge_list(selector.split(":", 1)[1])
     else:
@@ -148,15 +161,18 @@ def make_graph(selector: str, n: int) -> TopologyGraph:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run ``spec.replicas`` independently seeded solves on one random instance.
 
-    Deterministic apart from the wall-time fields.
+    The brute-force oracle, and with it success and ``iters_to_opt``, runs
+    exactly when ``spec.n <= ENUMERATION_LIMIT``; above it they are None.
+    The graph and sampler are built first, so a bad selector fails before
+    any enumeration. Deterministic apart from the wall-time fields.
     """
-    instance_rng = np.random.default_rng(spec.params.seed)
-    problem = random_qubo(spec.n, spec.density, spec.coeff_range, instance_rng)
     graph = make_graph(spec.graph, spec.n)
     sampler = make_sampler(spec.backend)
+    instance_rng = np.random.default_rng(spec.params.seed)
+    problem = random_qubo(spec.n, spec.density, spec.coeff_range, instance_rng)
 
     oracle_value = None
-    if spec.success_stats:
+    if spec.n <= ENUMERATION_LIMIT:
         _, oracle_value = brute_force_min(problem)
 
     results = []
@@ -168,21 +184,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         except Exception as exc:
             reraise_with_context(exc, f"replica {r}")
         millis = (time.perf_counter() - t0) * 1e3
-        success = None
-        iters = None
-        if oracle_value is not None:
-            success = report.f_best == oracle_value
-            iters = report.best_found_at if success else None
-        results.append(
-            ReplicaResult(
-                replica=r,
-                seed=seed,
-                f_best=report.f_best,
-                success=success,
-                iters_to_opt=iters,
-                millis=millis,
-            )
-        )
+        success = None if oracle_value is None else report.f_best == oracle_value
+        iters = report.best_found_at if success else None
+        results.append(ReplicaResult(replica=r, seed=seed, f_best=report.f_best, success=success,
+                                     iters_to_opt=iters, millis=millis))
 
     success_rate = None
     if oracle_value is not None:
@@ -192,10 +197,5 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     if found:
         for label, qq in (("p25", 0.25), ("p50", 0.5), ("p75", 0.75), ("p90", 0.9)):
             quantiles[label] = float(np.quantile(found, qq))
-    return ExperimentReport(
-        spec=spec,
-        oracle_value=oracle_value,
-        replicas=results,
-        success_rate=success_rate,
-        iters_to_opt_quantiles=quantiles,
-    )
+    return ExperimentReport(spec=spec, oracle_value=oracle_value, replicas=results,
+                            success_rate=success_rate, iters_to_opt_quantiles=quantiles)

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from qals import QalsParams, cli, solve
+from qals import ExactSampler, QalsParams, cli, complete_graph, solve
 from qals.cli import main
-from qals.fileio import parse_experiment_config, parse_qubo_file
+from qals.fileio import parse_experiment_config, parse_qubo_file, solve_report_to_json
 
 PAIR = "qubo 2\n0 1 1.0\n"
 
@@ -47,6 +47,26 @@ def test_solve_json_deterministic_per_backend(pair_file, capsys):
         assert report["n"] == 2
         assert report["f_best"] == -2.0
         assert report["trace"] is None
+
+
+def test_solve_json_without_trace_prints_the_report_with_null_trace(pair_file, capsys):
+    argv = ["solve", pair_file, "--sampler", "exact", "--i-max", "5", "--seed", "3"]
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    problem = parse_qubo_file(PAIR)
+    report = solve(problem, complete_graph(2), ExactSampler(), QalsParams(i_max=5, seed=3))
+    assert out == solve_report_to_json(report) + "\n"
+    assert '"trace": null' in out
+
+
+def test_solve_trace_implies_json(pair_file, capsys):
+    argv = ["solve", pair_file, "--sampler", "exact", "--i-max", "5", "--trace"]
+    assert main(argv) == 0
+    implied = capsys.readouterr().out
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == implied
+    report = json.loads(implied)
+    assert len(report["trace"]) == report["iterations"] > 0
 
 
 def test_solve_trace_in_json(pair_file, capsys):
@@ -193,3 +213,21 @@ def test_bench_bad_config(tmp_path, capsys):
 def test_gen_bad_range(capsys):
     assert main(["gen", "--n", "3", "--range", "nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("coeff_range", ["0:inf", "-1e308:1e308"])
+def test_gen_range_too_wide_for_a_float_exits_one(capsys, coeff_range):
+    assert main(["gen", "--n", "3", f"--range={coeff_range}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qals: error: coefficient range")
+    assert "wider than a float can hold" in captured.err
+
+
+def test_bench_range_too_wide_for_a_float_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 3\nrange = -1e308:1e308\nbackend = random\n")
+    assert main(["bench", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qals: error: coefficient range")

@@ -1,11 +1,12 @@
 """Instance files, experiment configs, and report serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qals import random_qubo
+from qals import ExperimentSpec, random_qubo
 from qals.fileio import (
     ParseError,
     experiment_report_to_csv,
@@ -76,10 +77,30 @@ def test_config_defaults_and_overrides():
     assert spec.params.eta == 0.01  # untouched default
 
 
-def test_config_success_flag_and_comments():
-    spec = parse_experiment_config("# cfg\nn = 26\nsuccess = false\nbackend = random\n")
-    assert spec.success_stats is False
-    assert spec.n == 26
+def test_config_comments_and_success_is_an_unknown_key():
+    spec = parse_experiment_config("# cfg\nn = 26\nbackend = random  # no oracle\n")
+    assert (spec.n, spec.backend) == (26, "random")
+    for value in ("false", "true"):
+        with pytest.raises(ParseError, match="line 3: unknown key 'success'"):
+            parse_experiment_config(f"# cfg\nn = 4\nsuccess = {value}\n")
+
+
+def test_every_spec_field_has_a_config_key():
+    # one non-default value per ExperimentSpec field, with the config line that sets it
+    lines = {
+        "n": ("n = 3", 3),
+        "density": ("density = 0.0", 0.0),
+        "coeff_range": ("range = -2.5:4", (-2.5, 4.0)),
+        "replicas": ("replicas = 7", 7),
+        "backend": ("backend = exact", "exact"),
+        "graph": ("graph = chimera:1", "chimera:1"),
+    }
+    fields = [f for f in dataclasses.fields(ExperimentSpec) if f.name != "params"]
+    assert [f.name for f in fields] == list(lines)
+    spec = parse_experiment_config("".join(line + "\n" for line, _ in lines.values()))
+    for f in fields:
+        assert f.default is dataclasses.MISSING or f.default != lines[f.name][1], f.name
+        assert getattr(spec, f.name) == lines[f.name][1], f.name
 
 
 def test_config_unknown_key():

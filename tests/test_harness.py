@@ -163,24 +163,92 @@ def test_experiment_aggregates_recomputable():
         assert report.iters_to_opt_quantiles["p50"] == float(np.quantile(found, 0.5))
 
 
-def test_experiment_oracle_guard():
-    with pytest.raises(ValueError):
-        ExperimentSpec(n=30, params=QalsParams(), backend="random", graph="complete")
-
-
-def test_experiment_skips_oracle_when_disabled():
+def test_experiment_skips_oracle_when_disabled(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "brute_force_min", lambda problem: calls.append(problem))
     spec = ExperimentSpec(
-        n=5,
+        n=harness.ENUMERATION_LIMIT + 1,
         replicas=2,
-        params=QalsParams(i_max=30, seed=0),
+        params=QalsParams(i_max=5, seed=0),
         backend="random",
         graph="complete",
-        success_stats=False,
     )
     report = run_experiment(spec)
+    assert calls == []
     assert report.oracle_value is None
     assert report.success_rate is None
-    assert all(r.success is None for r in report.replicas)
+    assert report.iters_to_opt_quantiles == {}
+    assert all(r.success is None and r.iters_to_opt is None for r in report.replicas)
+
+
+def test_experiment_oracle_guard(monkeypatch):
+    calls = []
+
+    def counting(problem):
+        calls.append(problem.n)
+        return np.ones(problem.n, dtype=np.int8), 0.0
+
+    monkeypatch.setattr(harness, "brute_force_min", counting)
+    for n, oracle in ((harness.ENUMERATION_LIMIT, 0.0), (harness.ENUMERATION_LIMIT + 1, None)):
+        spec = ExperimentSpec(n=n, replicas=1, params=QalsParams(i_max=2, seed=0), backend="random")
+        assert run_experiment(spec).oracle_value == oracle
+    assert calls == [harness.ENUMERATION_LIMIT]
+
+
+@pytest.mark.parametrize(
+    "spec_kwargs,message",
+    [
+        ({"backend": "nope"}, "unknown sampler selector"),
+        ({"graph": "file:/nonexistent/graph.edges"}, "No such file"),
+        ({"graph": "chimera:x"}, "chimera:x"),
+        ({"graph": "chimera:1"}, "graph has 8 nodes"),
+    ],
+)
+def test_experiment_bad_selector_fails_before_the_oracle(monkeypatch, spec_kwargs, message):
+    calls = []
+    monkeypatch.setattr(harness, "brute_force_min", lambda problem: calls.append(problem))
+    with pytest.raises((ValueError, OSError), match=message):
+        run_experiment(small_spec(**spec_kwargs))
+    assert calls == []
+
+
+def test_make_graph_names_a_bad_chimera_size():
+    for selector in ("chimera:x", "chimera:1.5", "chimera:-1", "chimera:"):
+        with pytest.raises(ValueError, match=f"graph selector '{selector}': chimera size"):
+            harness.make_graph(selector, 8)
+
+
+BAD_INSTANCE_ARGS = [
+    ((0, 0.5, (-1.0, 1.0)), "n must be positive"),
+    ((4.5, 0.5, (-1.0, 1.0)), "n 4.5 is not an integer"),
+    ((True, 0.5, (-1.0, 1.0)), "n True is not an integer"),
+    ((4, -0.1, (-1.0, 1.0)), r"density must lie in \[0, 1\]"),
+    ((4, 1.5, (-1.0, 1.0)), r"density must lie in \[0, 1\]"),
+    ((4, float("nan"), (-1.0, 1.0)), r"density must lie in \[0, 1\]"),
+    ((4, 0.5, (1.0, 1.0)), "nonempty interval"),
+    ((4, 0.5, (2.0, -1.0)), "nonempty interval"),
+    ((4, 0.5, (float("nan"), 1.0)), "nonempty interval"),
+    ((4, 0.5, (0.0, float("inf"))), "wider than a float can hold"),
+    ((4, 0.5, (-float("inf"), 0.0)), "wider than a float can hold"),
+    ((4, 0.5, (-1e308, 1e308)), "wider than a float can hold"),
+]
+
+
+@pytest.mark.parametrize("args,message", BAD_INSTANCE_ARGS)
+def test_random_qubo_and_spec_reject_the_same_instance_args(args, message):
+    n, density, coeff_range = args
+    with pytest.raises(ValueError, match=message) as from_generator:
+        random_qubo(n, density, coeff_range, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message) as from_spec:
+        ExperimentSpec(n=n, density=density, coeff_range=coeff_range)
+    assert str(from_spec.value) == str(from_generator.value)
+
+
+def test_spec_accepts_what_random_qubo_accepts():
+    for density, coeff_range in ((0.0, (-1.0, 1.0)), (1.0, (0.5, 2.0)), (0.5, (-1e307, 1e307))):
+        spec = ExperimentSpec(n=np.int64(3), density=density, coeff_range=coeff_range)
+        assert type(spec.n) is int
+        random_qubo(spec.n, density, coeff_range, np.random.default_rng(0))
 
 
 def _failing_solve(error):
