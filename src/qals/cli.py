@@ -20,6 +20,7 @@ from .fileio import (
     format_qubo_file,
     load_qubo_file,
     parse_experiment_config,
+    parse_range,
     solve_report_to_json,
 )
 from .harness import brute_force_min, make_graph, make_sampler, random_qubo, run_experiment
@@ -83,11 +84,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    lo, _, hi = args.range.partition(":")
-    try:
-        coeff_range = (float(lo), float(hi))
-    except ValueError:
-        raise ParseError(f"bad --range {args.range!r}, expected LO:HI") from None
+    coeff_range = parse_range(args.range)
     rng = np.random.default_rng(args.seed)
     problem = random_qubo(args.n, args.density, coeff_range, rng)
     sys.stdout.write(

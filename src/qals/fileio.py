@@ -83,6 +83,15 @@ def load_qubo_file(path) -> QuboProblem:
         return parse_qubo_file(fh.read())
 
 
+def parse_range(text: str) -> tuple[float, float]:
+    """``LO:HI`` as a pair of floats, the syntax of ``qals gen --range`` and the config's ``range``."""
+    lo, _, hi = text.partition(":")
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise ParseError(f"bad range {text!r}, expected LO:HI") from None
+
+
 _SPEC_KEYS = {
     "n": int,
     "density": float,
@@ -112,12 +121,11 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
             elif key in _PARAM_KEYS:
                 param_kwargs[key] = _PARAM_KEYS[key](value)
             elif key == "range":
-                lo, _, hi = value.partition(":")
-                spec_kwargs["coeff_range"] = (float(lo), float(hi))
+                spec_kwargs["coeff_range"] = parse_range(value)
             else:
-                raise ParseError(f"line {lineno}: unknown key {key!r}")
-        except ParseError:
-            raise
+                raise ParseError(f"unknown key {key!r}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise ParseError(f"line {lineno}: bad value for {key!r}") from None
     if "n" not in spec_kwargs:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -15,6 +15,7 @@ from .samplers import (
     MetropolisSampler,
     RandomSampler,
     RemoteSampler,
+    _check_enumerable,
     enumerate_minima,
     spins_at,
 )
@@ -27,8 +28,8 @@ def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     ``ExperimentSpec``; returns ``n`` as a Python int.
 
     ``n`` is an integer >= 1, ``density`` lies in [0, 1], and the range is a
-    pair ``lo < hi`` whose width ``hi - lo`` is finite (a wider range cannot
-    be sampled uniformly). Raises ``ValueError`` otherwise.
+    pair ``lo < hi`` whose bounds and width ``hi - lo`` fit in a float (a
+    wider range cannot be sampled uniformly). Raises ``ValueError`` otherwise.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -38,7 +39,7 @@ def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     lo, hi = coeff_range
     if not lo < hi:
         raise ValueError("coefficient range must be a nonempty interval")
-    if not math.isfinite(hi - lo):
+    if not max(abs(lo), abs(hi), hi - lo) <= sys.float_info.max:  # exact for integer bounds
         raise ValueError(f"coefficient range {lo}:{hi} is wider than a float can hold")
     return n
 
@@ -73,14 +74,11 @@ def brute_force_min(problem: QuboProblem) -> tuple[np.ndarray, float]:
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"brute force supports at most {ENUMERATION_LIMIT} variables, got {n}"
-        )
+        raise ValueError(f"brute force supports at most {ENUMERATION_LIMIT} variables, got {n}")
     # Over spins the diagonal of Q is a constant, so ranking states only needs
     # the doubled off-diagonal part.
     doubled = 2.0 * (problem.q - np.diag(np.diagonal(problem.q)))
-    indices, _ = enumerate_minima(doubled)
-    z = spins_at(n, indices[:1])[0]
+    z = spins_at(n, enumerate_minima(doubled)[:1])[0]
     return z, objective(problem, z)
 
 
@@ -90,7 +88,7 @@ class ExperimentSpec:
 
     A single random instance is generated from ``params.seed``; replica r
     then solves it with seed ``params.seed + r``. The instance arguments
-    follow ``check_instance_args``.
+    follow ``check_instance_args``; backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
     """
 
     n: int
@@ -103,6 +101,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.n = check_instance_args(self.n, self.density, self.coeff_range)
+        if self.backend == "exact":
+            _check_enumerable(self.n, ValueError)
         self.replicas = _integer(self.replicas, "replicas")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")

@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from .core import SPIN_DTYPE, WeightMatrix, energies, split_energies
+from .core import SPIN_DTYPE, WeightMatrix, energies, energy, split_energies
 from .topology import _integer
 
 ENUMERATION_LIMIT = 24
@@ -96,7 +96,7 @@ def _spin_columns(l: int) -> np.ndarray:
     return columns
 
 
-def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
+def enumerate_minima(weights: np.ndarray) -> np.ndarray:
     """Every minimum-energy state of a raw weight array, by a split-bits table.
 
     The first ``h = n // 2`` spins form the high part H and the other ``l``
@@ -109,12 +109,10 @@ def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
     ``slack = 4 (n + 2) eps sum|weights|`` of the table minimum. The slack
     bounds the summation-order error of the table and of ``energies`` and
     scales with the weights, so positive rescaling keeps the set. Returns
-    the lexicographic indices of the minimizers in increasing order, and
-    the energy of the first of them as one ``energies`` row, which equals
-    ``energy(theta, minimizers[0])`` bit for bit. Memory is the spin table
-    of L and its transpose, one block, and 16 bytes per state within the
-    slack of the running minimum. Callers pass finite weights and enforce
-    ``ENUMERATION_LIMIT``.
+    the lexicographic int64 indices of the minimizers in increasing order
+    and nothing else. Memory is the spin table of L and its transpose, one
+    block, and 16 bytes per state within the slack of the running minimum.
+    Callers pass finite weights and enforce ``ENUMERATION_LIMIT``.
     """
     n = weights.shape[0]
     h, l = n // 2, n - n // 2
@@ -141,15 +139,12 @@ def enumerate_minima(weights: np.ndarray) -> tuple[np.ndarray, float]:
             found = [(i[e <= best + slack], e[e <= best + slack]) for i, e in found]
         keep = np.flatnonzero(t <= best + slack)
         found.append(((row << l) + keep, t[keep]))
-    indices = np.concatenate([i for i, _ in found])
-    a, b = divmod(int(indices[0]), 1 << l)
-    first = np.concatenate((z_high[a], z_low[b]))[None, :]  # spins_at(n, indices[:1])
-    return indices, float(split_energies(bias, upper, first)[0])
+    return np.concatenate([i for i, _ in found])
 
 
-def _check_enumerable(n: int):
+def _check_enumerable(n: int, error: type[Exception] = CapacityError):
     if n > ENUMERATION_LIMIT:
-        raise CapacityError(
+        raise error(
             f"exact enumeration supports at most {ENUMERATION_LIMIT} variables, "
             f"got {n}; use the Metropolis or remote backend instead"
         )
@@ -158,25 +153,23 @@ def _check_enumerable(n: int):
 def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     """Enumerate the full minimizer set of the energy landscape.
 
-    Returns the minimizers as rows in lexicographic order together with the
-    minimum energy, ``energy(theta, minimizers[0])``. A state counts as a
-    minimizer when it is within ``enumerate_minima``'s rounding slack of the
-    minimum, so exactly tied states are never split by summation order.
-    Only valid up to the enumeration limit.
+    Returns ``enumerate_minima``'s indices as spin rows, in lexicographic
+    order, and the minimum energy scored as ``energy(theta, minimizers[0])``.
+    A state is a minimizer when it is within ``enumerate_minima``'s rounding
+    slack of the minimum, so exactly tied states are never split by
+    summation order. Only valid up to the enumeration limit.
     """
     _check_enumerable(theta.n)
-    indices, emin = enumerate_minima(theta.theta)
-    return spins_at(theta.n, indices), emin
+    minimizers = spins_at(theta.n, enumerate_minima(theta.theta))
+    return minimizers, energy(theta, minimizers[0])
 
 
 @dataclass
 class ExactSampler:
     """Oracle backend: every sample is a true minimizer of the landscape.
 
-    Keeps the last logical landscape it enumerated and the indices of its
-    minimizers, and the spins of the minimizer when there is only one, so a
-    call that sees the same pulled-back weights under another placement
-    skips the enumeration.
+    It keeps its last enumeration, so a call that sees the same pulled-back
+    weights under another placement skips it (see ``sample``).
     """
 
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -185,24 +178,23 @@ class ExactSampler:
         """Return k states drawn uniformly from the exact minimizer set.
 
         The weights are pulled back to the logical frame,
-        ``theta.theta[np.ix_(sigma, sigma)]`` (taken as rows, then columns)
-        with sigma ``theta.placement`` (the identity when None), and that
-        landscape is enumerated with ``enumerate_minima`` (ties within its
-        rounding slack). A set of one state is placed directly: its logical
-        spins are written into one qubit-order row, ``row[sigma] = spins``,
-        and the k rows are copies of it; the rng is not drawn, as
-        ``rng.integers(0, 1, size=k)`` would return zeros and draw nothing.
-        A larger set has its logical minimizer indices mapped to qubit
-        order and sorted, and the draw is one ``rng.integers(0, count,
-        size=k)`` call. So the result is a function of the pulled-back
-        weights, sigma and the rng alone, and always a fresh, writable
-        ``(k, n)`` array. The last pulled-back weights, their minimizer
-        indices and, for a one-state set, its n logical spins are cached: a
-        call with equal pulled-back weights (on a complete graph, the same
-        coefficients under any placement) reuses them. Holds one
-        enumeration block plus 16 bytes per minimizer during a call, and
-        between calls 8 bytes per minimizer plus n bytes for a one-state
-        set.
+        ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
+        (the identity when None), and enumerated by ``enumerate_minima``
+        (ties within its rounding slack). A one-state set is placed
+        directly, ``row[sigma] = spins``, and returned as k copies without
+        drawing from the rng. A larger set has its logical indices mapped to
+        qubit order through the enumerator's split into the first
+        ``h = n // 2`` spins and the last ``l`` (tables of 2**h and 2**l
+        qubit-order indices), then sorted, and the draw is one
+        ``rng.integers(0, count, size=k)`` call. So the result is a function
+        of the pulled-back weights, sigma and the rng alone, and always a
+        fresh, writable ``(k, n)`` array. The last pulled-back weights, their
+        minimizer indices and, for a one-state set, its n logical spins are
+        cached: a call with equal pulled-back weights (on a complete graph,
+        the same coefficients under any placement) reuses them. A call holds
+        what ``enumerate_minima`` holds, then 16 bytes per minimizer to map
+        them; between calls it keeps 8 bytes per minimizer plus n bytes for
+        a one-state set.
         """
         _check_enumerable(theta.n)
         if k < 1:
@@ -212,7 +204,7 @@ class ExactSampler:
         logical = theta.theta.take(sigma, 0).take(sigma, 1)
         last = self._last
         if last is None or last[0].shape != logical.shape or not (last[0] == logical).all():
-            found = enumerate_minima(logical)[0]
+            found = enumerate_minima(logical)
             single = spins_at(n, found)[0] if found.size == 1 else None
             last = self._last = (logical, found, single)
         _, found, single = last
@@ -220,13 +212,16 @@ class ExactSampler:
             row = np.empty(n, dtype=SPIN_DTYPE)
             row[sigma] = single  # logical variable i sits on qubit sigma[i]
             return row[None].repeat(k, 0)
-        # logical variable i sits on qubit sigma[i]: its bit n-1-i moves to bit n-1-sigma[i]
-        shifts = _shifts(n)
-        place = 1 << shifts[sigma]
-        indices = np.empty_like(found)
-        rows = max(1, (1 << _BLOCK_BITS) // n)
-        for lo in range(0, found.size, rows):
-            indices[lo : lo + rows] = ((found[lo : lo + rows, None] >> shifts) & 1) @ place
+        # logical variable i sits on qubit sigma[i], its bit n-1-i on bit n-1-sigma[i]: split
+        # as the enumerator does, logical state a * 2**l + b sits at qubit index high[a] | low[b]
+        h, l = n // 2, n - n // 2
+        place = 1 << _shifts(n)[sigma]  # int64 whatever sigma's dtype
+        bits = _spin_table(l) > 0
+        high, low = bits[: 1 << h, l - h :] @ place[:h], bits @ place[h:]
+        indices = found >> l
+        np.take(high, indices, out=indices, mode="clip")  # in place: mode "raise" buffers out
+        b = found & ((1 << l) - 1)
+        indices |= np.take(low, b, out=b, mode="clip")
         indices.sort()
         return spins_at(n, indices[rng.integers(0, indices.size, size=k)])
 

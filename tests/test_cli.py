@@ -215,6 +215,28 @@ def test_gen_bad_range(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["1", "a:b"])
+def test_gen_and_config_share_one_range_parser(tmp_path, capsys, text):
+    assert main(["gen", "--n", "3", "--range", text]) == 1
+    assert capsys.readouterr().err == f"qals: error: bad range {text!r}, expected LO:HI\n"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n = 3\nrange = {text}\n")
+    assert main(["bench", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"qals: error: line 2: bad range {text!r}, expected LO:HI\n"
+
+
+def test_bench_exact_above_the_enumeration_limit_exits_one_before_generating(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("spec was accepted"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 25\nbackend = exact\nreplicas = 1\n")
+    assert main(["bench", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qals: error: exact enumeration supports at most 24 variables")
+
+
 @pytest.mark.parametrize("coeff_range", ["0:inf", "-1e308:1e308"])
 def test_gen_range_too_wide_for_a_float_exits_one(capsys, coeff_range):
     assert main(["gen", "--n", "3", f"--range={coeff_range}"]) == 1

@@ -231,6 +231,8 @@ BAD_INSTANCE_ARGS = [
     ((4, 0.5, (0.0, float("inf"))), "wider than a float can hold"),
     ((4, 0.5, (-float("inf"), 0.0)), "wider than a float can hold"),
     ((4, 0.5, (-1e308, 1e308)), "wider than a float can hold"),
+    ((3, 0.5, (0, 10**400)), "wider than a float can hold"),  # an integer width beyond a float
+    ((3, 0.5, (10**400, 10**400 + 1)), "wider than a float can hold"),  # bounds beyond a float
 ]
 
 
@@ -249,6 +251,14 @@ def test_spec_accepts_what_random_qubo_accepts():
         spec = ExperimentSpec(n=np.int64(3), density=density, coeff_range=coeff_range)
         assert type(spec.n) is int
         random_qubo(spec.n, density, coeff_range, np.random.default_rng(0))
+
+
+def test_spec_rejects_the_exact_backend_above_the_enumeration_limit():
+    limit = harness.ENUMERATION_LIMIT
+    with pytest.raises(ValueError, match=f"at most {limit} variables, got {limit + 1}"):
+        ExperimentSpec(n=limit + 1, backend="exact")
+    assert ExperimentSpec(n=limit, backend="exact").n == limit
+    assert ExperimentSpec(n=limit + 1, backend="sa").n == limit + 1
 
 
 def _failing_solve(error):
