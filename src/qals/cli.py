@@ -23,7 +23,8 @@ from .fileio import (
     parse_range,
     solve_report_to_json,
 )
-from .harness import brute_force_min, make_graph, make_sampler, random_qubo, run_experiment
+from .harness import ExperimentSpec, brute_force_min, make_graph, make_sampler, random_qubo
+from .harness import run_experiment
 from .samplers import SamplerError
 from .solver import solve
 
@@ -56,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a random instance to stdout")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--density", type=float, default=0.5)
-    p_gen.add_argument("--range", default="-1:1", help="LO:HI for coefficients")
+    p_gen.add_argument("--density", type=float, default=ExperimentSpec.density)
+    p_gen.add_argument("--range", default="{}:{}".format(*ExperimentSpec.coeff_range),
+                       help="LO:HI for coefficients (default %(default)s)")
     p_gen.add_argument("--seed", type=int, default=0)
 
     p_oracle = sub.add_parser("oracle", help="brute-force minimum of an instance file")

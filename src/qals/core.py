@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -241,10 +242,10 @@ def energies(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Annealer cost of every row of the (m, n) spin array ``Z``.
 
     ``weights`` is the raw symmetric (n, n) array with biases on the
-    diagonal; each edge is counted once. This is the one energy kernel:
-    ``energy`` and ``estimate_argmin`` rank states with it, and exhaustive
-    enumeration builds its tables and its minimum with the same arithmetic
-    through ``split_energies``.
+    diagonal; each edge is counted once, from the strict upper triangle.
+    This is the one energy kernel: ``energy`` and ``estimate_argmin`` rank
+    states with it, and ``enumerate_minima`` scores the two halves of its
+    split-bits table with it, on the diagonal blocks of its weights.
 
     A row's value can depend in the last ulp on how many rows share the
     call and on its place among them, because the matrix products pick
@@ -254,7 +255,7 @@ def energies(weights: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """
     zf = np.asarray(Z, dtype=np.float64)
     upper = np.where(_strict_upper_mask(weights.shape[0]), weights, 0.0)  # np.triu(weights, 1)
-    return split_energies(weights.diagonal(), upper, zf)
+    return zf @ weights.diagonal() + np.add.reduce((zf @ upper) * zf, axis=1)  # .sum(axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -265,13 +266,25 @@ def _strict_upper_mask(n: int) -> np.ndarray:
     return mask
 
 
-def split_energies(bias: np.ndarray, upper: np.ndarray, zf: np.ndarray) -> np.ndarray:
-    """``energies`` from the biases and the strict upper triangle of the weights.
+# Every energy is a sum of |weight| terms, and flip costs and objective
+# differences double such a sum; the factor 16 covers that and the rounding
+# of any summation order with room to spare.
+_WEIGHT_SUM_LIMIT = sys.float_info.max / 16
 
-    ``zf`` is a float64 spin array. This is the arithmetic of ``energies``
-    itself, for callers that already hold the split weights.
+
+def _weight_sum(weights: np.ndarray, what: str, extra: float = 0.0) -> float:
+    """``sum|weights| + extra``, checked to be at most ``_WEIGHT_SUM_LIMIT``.
+
+    Raises ``ValueError``, naming the sum as ``what``, when it is larger or
+    overflows, so that no energy of those weights can be inf or NaN.
     """
-    return zf @ bias + np.add.reduce((zf @ upper) * zf, axis=1)  # the reduction of .sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        total = float(np.abs(weights).sum()) + extra
+    if not total <= _WEIGHT_SUM_LIMIT:
+        raise ValueError(
+            f"{what} is {total:.3g}, above the limit {_WEIGHT_SUM_LIMIT:.3g} for finite energies"
+        )
+    return total
 
 
 def energy(theta: WeightMatrix, z: np.ndarray) -> float:
@@ -282,18 +295,10 @@ def energy(theta: WeightMatrix, z: np.ndarray) -> float:
     return float(energies(theta.theta, z[None, :])[0])
 
 
-def _tabu_term(z: np.ndarray) -> np.ndarray:
-    # z (x) z - I + diag(z): off-diagonal z_i z_j, diagonal z_i
-    z = np.asarray(z, dtype=np.int64)
-    term = np.outer(z, z)
-    np.fill_diagonal(term, z)
-    return term
-
-
 def tabu_init(z: np.ndarray) -> TabuMatrix:
-    """Start a tabu matrix from one rejected candidate."""
+    """Start a tabu matrix from one rejected candidate: one update of the zero matrix."""
     z = as_spins(z)
-    return TabuMatrix(_tabu_term(z), m=1)
+    return tabu_update(TabuMatrix.zeros(z.size), z)
 
 
 def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
@@ -306,7 +311,10 @@ def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
     z = as_spins(z)
     if z.size != s.n:
         raise ValueError(f"spin vector has length {z.size}, tabu matrix expects {s.n}")
-    return TabuMatrix._trusted(s.s + _tabu_term(z), s.m + 1)
+    z = z.astype(np.int64)
+    term = np.outer(z, z)  # z (x) z - I + diag(z): off-diagonal z_i z_j, diagonal z_i
+    np.fill_diagonal(term, z)
+    return TabuMatrix._trusted(s.s + term, s.m + 1)
 
 
 def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> WeightMatrix:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import QalsParams, QuboProblem, objective
+from .core import QalsParams, QuboProblem, _weight_sum, objective
 from .samplers import (
     ENUMERATION_LIMIT,
     ExactSampler,
@@ -71,14 +71,15 @@ def brute_force_min(problem: QuboProblem) -> tuple[np.ndarray, float]:
     comparisons against solver output see the same float path. Minimizers
     are ranked by ``enumerate_minima``'s split-bits table, so a state within
     its rounding slack of the minimum counts as tied and the first one wins.
+    Raises ``ValueError`` above ``ENUMERATION_LIMIT`` variables, and when
+    ``sum|Q|`` exceeds the limit for finite energies (``core._weight_sum``).
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"brute force supports at most {ENUMERATION_LIMIT} variables, got {n}")
-    # Over spins the diagonal of Q is a constant, so ranking states only needs
-    # the doubled off-diagonal part.
-    doubled = 2.0 * (problem.q - np.diag(np.diagonal(problem.q)))
-    z = spins_at(n, enumerate_minima(doubled)[:1])[0]
+    _weight_sum(problem.q, "sum|Q|")
+    # over spins z^T Q z = trace(Q) + 2 * (energy of the off-diagonal part)
+    z = spins_at(n, enumerate_minima(problem.q - np.diag(np.diagonal(problem.q)))[:1])[0]
     return z, objective(problem, z)
 
 

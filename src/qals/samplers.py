@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from .core import SPIN_DTYPE, WeightMatrix, energies, energy, split_energies
+from .core import SPIN_DTYPE, WeightMatrix, _weight_sum, energies, energy
 from .topology import _integer
 
 ENUMERATION_LIMIT = 24
@@ -96,14 +96,27 @@ def _spin_columns(l: int) -> np.ndarray:
     return columns
 
 
+def _halves(n: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The split-bits layout: H is the first ``h = n // 2`` spins, L the last ``l``.
+
+    State ``a * 2**l + b`` is H's state a followed by L's state b. Returns
+    ``(h, l, z_high, z_low)`` with the spin rows of H's and of L's states;
+    ``z_high`` is a view of ``z_low = _spin_table(l)``.
+    """
+    h, l = n // 2, n - n // 2
+    z_low = _spin_table(l)
+    return h, l, z_low[: 1 << h, l - h :], z_low
+
+
 def enumerate_minima(weights: np.ndarray) -> np.ndarray:
     """Every minimum-energy state of a raw weight array, by a split-bits table.
 
-    The first ``h = n // 2`` spins form the high part H and the other ``l``
-    the low part L, so the energy of state ``a * 2**l + b`` is
-    ``E_H[a] + E_L[b] + (Z_H C Z_L^T)[a, b]`` with ``C`` the H-L couplings.
-    The table is built over blocks of rows of H holding 2**_BLOCK_BITS
-    states, at about ``n / 2`` flops per state.
+    With the spins split by ``_halves`` into H and L, the energy of state
+    ``a * 2**l + b`` is ``E_H[a] + E_L[b] + (Z_H C Z_L^T)[a, b]``. ``E_H``
+    and ``E_L`` are ``energies`` of the two diagonal blocks of the weights,
+    and ``C = weights[:h, h:]``, the H-L couplings, lies wholly above the
+    diagonal. The table is built over blocks of rows of H holding
+    2**_BLOCK_BITS states, at about ``n / 2`` flops per state.
 
     Tie rule: a state is a minimizer when its table energy is within
     ``slack = 4 (n + 2) eps sum|weights|`` of the table minimum. The slack
@@ -112,19 +125,17 @@ def enumerate_minima(weights: np.ndarray) -> np.ndarray:
     the lexicographic int64 indices of the minimizers in increasing order
     and nothing else. Memory is the spin table of L and its transpose, one
     block, and 16 bytes per state within the slack of the running minimum.
-    Callers pass finite weights and enforce ``ENUMERATION_LIMIT``.
+    Raises ``ValueError`` when ``sum|weights|`` exceeds the limit for finite
+    energies (``core._weight_sum``), as NaN and inf do; callers enforce ``ENUMERATION_LIMIT``.
     """
     n = weights.shape[0]
-    h, l = n // 2, n - n // 2
-    upper = np.triu(weights, k=1)
-    bias = np.diagonal(weights)
-    z_low = _spin_table(l)
+    total = _weight_sum(weights, "sum|weights|")
+    h, l, z_high, z_low = _halves(n)
     z_low_t = _spin_columns(l)
-    z_high = z_low[: 1 << h, l - h :]
-    e_low = split_energies(bias[h:], upper[h:, h:], z_low)
-    e_high = split_energies(bias[:h], upper[:h, :h], z_high)
-    cross = z_high @ upper[:h, h:]
-    slack = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(weights).sum()
+    e_low = energies(weights[h:, h:], z_low)
+    e_high = energies(weights[:h, :h], z_high)
+    cross = z_high @ weights[:h, h:]
+    slack = 4 * (n + 2) * np.finfo(np.float64).eps * total
     rows = max(1, (1 << _BLOCK_BITS) >> l)
     best = np.inf
     found = []  # (indices, table energies) within the slack of the running minimum
@@ -157,7 +168,8 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     order, and the minimum energy scored as ``energy(theta, minimizers[0])``.
     A state is a minimizer when it is within ``enumerate_minima``'s rounding
     slack of the minimum, so exactly tied states are never split by
-    summation order. Only valid up to the enumeration limit.
+    summation order. Only valid up to the enumeration limit, and only for
+    weights within ``enumerate_minima``'s limit (``ValueError`` otherwise).
     """
     _check_enumerable(theta.n)
     minimizers = spins_at(theta.n, enumerate_minima(theta.theta))
@@ -180,11 +192,11 @@ class ExactSampler:
         The weights are pulled back to the logical frame,
         ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
         (the identity when None), and enumerated by ``enumerate_minima``
-        (ties within its rounding slack). A one-state set is placed
-        directly, ``row[sigma] = spins``, and returned as k copies without
-        drawing from the rng. A larger set has its logical indices mapped to
-        qubit order through the enumerator's split into the first
-        ``h = n // 2`` spins and the last ``l`` (tables of 2**h and 2**l
+        (ties within its rounding slack; too large weights raise its
+        ``ValueError``). A one-state set is placed directly, ``row[sigma] =
+        spins``, and returned as k copies without drawing from the rng. A
+        larger set has its logical indices mapped to qubit order through
+        the enumerator's own layout, ``_halves`` (tables of 2**h and 2**l
         qubit-order indices), then sorted, and the draw is one
         ``rng.integers(0, count, size=k)`` call. So the result is a function
         of the pulled-back weights, sigma and the rng alone, and always a
@@ -214,10 +226,9 @@ class ExactSampler:
             return row[None].repeat(k, 0)
         # logical variable i sits on qubit sigma[i], its bit n-1-i on bit n-1-sigma[i]: split
         # as the enumerator does, logical state a * 2**l + b sits at qubit index high[a] | low[b]
-        h, l = n // 2, n - n // 2
+        h, l, z_high, z_low = _halves(n)
         place = 1 << _shifts(n)[sigma]  # int64 whatever sigma's dtype
-        bits = _spin_table(l) > 0
-        high, low = bits[: 1 << h, l - h :] @ place[:h], bits @ place[h:]
+        high, low = (z_high > 0) @ place[:h], (z_low > 0) @ place[h:]
         indices = found >> l
         np.take(high, indices, out=indices, mode="clip")  # in place: mode "raise" buffers out
         b = found & ((1 << l) - 1)

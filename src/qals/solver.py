@@ -9,7 +9,6 @@ likely worse candidates are to be accepted.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NoReturn
 
 import numpy as np
@@ -20,6 +19,7 @@ from .core import (
     SolveReport,
     TabuMatrix,
     _place,
+    _weight_sum,
     decode,
     encode,
     identity_permutation,
@@ -115,29 +115,6 @@ def _temperature(p: float) -> float | None:
     return -1.0 / math.log(p) if 0.0 < p < 1.0 else None
 
 
-# Every energy is a sum of |weight| terms, and flip costs and objective
-# differences double such a sum; the factor 16 covers that and the rounding
-# of any summation order with room to spare.
-_WEIGHT_SUM_LIMIT = sys.float_info.max / 16
-
-
-def _check_weight_sum(q: np.ndarray, params: QalsParams) -> None:
-    """Raise unless every weight sum the run can form is safely finite.
-
-    Iteration coefficients are ``q + lam * S`` with ``lam <= lambda0`` and
-    ``|S_ij| <= m <= i_max + 1``, so their absolute sum is at most
-    ``sum|q| + lambda0 * (i_max + 1) * n**2``.
-    """
-    n = q.shape[0]
-    bound = float(np.abs(q).sum()) + params.lambda0 * (params.i_max + 1) * n * n
-    if not bound <= _WEIGHT_SUM_LIMIT:
-        raise ValueError(
-            f"the coefficients can reach an absolute sum of {bound:.3g} "
-            f"(sum|Q| + lambda0 * (i_max + 1) * n^2), above the limit {_WEIGHT_SUM_LIMIT:.3g} "
-            "for finite energies; lower lambda0 or i_max, or rescale Q"
-        )
-
-
 def solve(
     problem: QuboProblem,
     graph: TopologyGraph,
@@ -192,7 +169,8 @@ def solve(
     sigma1 = modify_permutation(ident, 1.0, perm_rng)
     sigma2 = modify_permutation(ident, 1.0, perm_rng)
     theta = encode(problem.q, sigma1, graph)  # checks problem.q, which the weight sum reads
-    _check_weight_sum(problem.q, params)
+    penalty = params.lambda0 * (params.i_max + 1) * n * n  # |lam * S_ij| <= lambda0 * (i_max + 1)
+    _weight_sum(problem.q, "sum|Q| + lambda0 * (i_max + 1) * n^2, the run's bound,", penalty)
     z1 = decode(run_annealer(theta, "initialization"), sigma1)
     theta = encode(problem.q, sigma2, graph)
     z2 = decode(run_annealer(theta, "initialization"), sigma2)

@@ -253,3 +253,42 @@ def test_bench_range_too_wide_for_a_float_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("qals: error: coefficient range")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["qubo 2\n0 1 1e308\n", "qubo 3\n0 1 1e308\n1 2 -1e308\n0 0 1\n"],
+)
+def test_oracle_on_weights_too_large_for_finite_energies_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "big.qubo"
+    path.write_text(text)
+    assert main(["oracle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qals: error: sum|Q| is inf, above the limit")
+
+
+def test_bench_oracle_on_weights_too_large_exits_one_before_any_replica(
+    tmp_path, capsys, monkeypatch
+):
+    import qals.harness
+
+    monkeypatch.setattr(qals.harness, "solve", lambda *args: pytest.fail("a replica ran"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 2\nrange = 0:1e308\nbackend = random\ni_max = 3\nseed = 1\n")
+    assert main(["bench", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qals: error: sum|Q| is ")
+
+
+def test_gen_takes_its_instance_defaults_from_the_experiment_spec(capsys):
+    from qals import ExperimentSpec
+
+    assert main(["gen", "--n", "4", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# random instance: n=4 density=0.5 range=-1.0:1.0 seed=2\n")
+    spec = ExperimentSpec(n=4)
+    argv = ["gen", "--n", "4", "--seed", "2", "--density", str(spec.density)]
+    assert main(argv + ["--range={}:{}".format(*spec.coeff_range)]) == 0
+    assert capsys.readouterr().out == out

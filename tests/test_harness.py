@@ -80,6 +80,19 @@ def test_brute_force_capacity_guard():
         brute_force_min(QuboProblem(np.zeros((25, 25))))
 
 
+def test_brute_force_rejects_a_weight_sum_too_large_for_finite_energies():
+    import qals.core as core
+
+    for q in ([[0.0, 1e308], [1e308, 0.0]], [[1e308, 0.0], [0.0, 1e308]]):
+        with pytest.raises(ValueError, match=r"sum\|Q\| is inf"):
+            brute_force_min(QuboProblem(q))
+    # within the limit the doubled couplings cannot overflow the objective
+    half = core._WEIGHT_SUM_LIMIT / 2
+    z, value = brute_force_min(QuboProblem([[0.0, half], [half, 0.0]]))
+    np.testing.assert_array_equal(z, [-1, 1])
+    assert value == -2 * half
+
+
 def test_brute_force_matches_slow_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10):

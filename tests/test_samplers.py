@@ -161,6 +161,29 @@ def test_exact_minimizers_keep_ties_on_decimal_weights():
     assert drawn == {(-1, -1, -1), (-1, 1, -1), (-1, 1, 1)}
 
 
+def test_exact_backend_rejects_weights_too_large_for_finite_energies():
+    w = weights([[0.0, 1e308], [1e308, 0.0]], complete_graph(2))  # every state's energy is finite
+    with pytest.raises(ValueError, match="above the limit"):
+        exact_minimizers(w)
+    with pytest.raises(ValueError, match="above the limit"):
+        ExactSampler().sample(w, 3, np.random.default_rng(0))
+
+
+def test_enumeration_weight_bound_is_sum_of_absolute_weights():
+    import qals.core as core
+    import qals.samplers as sam
+
+    half = core._WEIGHT_SUM_LIMIT / 2
+    at_limit = np.array([[0.0, half], [half, 0.0]])
+    np.testing.assert_array_equal(sam.enumerate_minima(at_limit), [1, 2])  # opposite spins
+    above = np.nextafter(half, np.inf)
+    for bad in (above, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sum.weights. is"):
+            sam.enumerate_minima(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError):
+        sam.enumerate_minima(np.diag([-above, -above]))  # biases count too
+
+
 @pytest.mark.parametrize("make", ["float", "integer", "decimal", "zero_bias"])
 def test_enumeration_block_size_does_not_change_minimizers(make, monkeypatch):
     import qals.samplers as sam
@@ -674,7 +697,10 @@ def test_estimate_argmin_identical_samples(monkeypatch):
     np.testing.assert_array_equal(estimate_argmin(Fixed(), w, 5, np.random.default_rng(0)), [1, -1])
     assert calls == []  # identical rows are returned unscored
     unique = weights(np.diag([1.0, -2.0, 1.0]), complete_graph(3))
-    z = estimate_argmin(ExactSampler(), unique, 4, None)  # a one-state set draws nothing
+    exact = ExactSampler()
+    exact.sample(unique, 1, None)  # the enumeration scores its halves with energies
+    calls.clear()
+    z = estimate_argmin(exact, unique, 4, None)  # a one-state set draws nothing
     np.testing.assert_array_equal(z, [-1, 1, -1])
     assert calls == []
 
