@@ -11,7 +11,6 @@ from qals import (
     ExactSampler,
     MetropolisSampler,
     RandomSampler,
-    SaSchedule,
     WeightMatrix,
     complete_graph,
     energy,
@@ -30,8 +29,8 @@ print(f"instance: n={n}, ground energy {emin:.4f}, {len(minimizers)} ground stat
 
 backends = [
     ("exact", ExactSampler()),
-    ("metropolis (100 sweeps)", MetropolisSampler(SaSchedule(sweeps=100))),
-    ("metropolis (5 sweeps)", MetropolisSampler(SaSchedule(sweeps=5))),
+    ("metropolis (100 sweeps)", MetropolisSampler(sweeps=100)),
+    ("metropolis (5 sweeps)", MetropolisSampler(sweeps=5)),
     ("uniform random", RandomSampler()),
 ]
 

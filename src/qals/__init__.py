@@ -37,7 +37,6 @@ from .samplers import (
     RemoteSampler,
     SamplerError,
     SampleShapeError,
-    SaSchedule,
     TransportError,
     estimate_argmin,
     exact_minimizers,

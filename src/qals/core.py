@@ -8,14 +8,13 @@ Permutations are 1-D integer arrays holding the image of each index:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .topology import TopologyGraph, _integer
+from .topology import TopologyGraph, _check_real, _integer
 
 SPIN_DTYPE = np.int8
 
@@ -182,9 +181,7 @@ class QalsParams:
 
     def __post_init__(self):
         for name in ("p_delta", "eta", "q", "lambda0"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} {value!r} is not a real number")
+            _check_real(getattr(self, name), name)
         if not 0.0 < self.p_delta < 0.5:
             raise ValueError("p_delta must lie in (0, 0.5)")
         if not 0.0 < self.eta < 1.0:

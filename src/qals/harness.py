@@ -20,23 +20,29 @@ from .samplers import (
     spins_at,
 )
 from .solver import reraise_with_context, solve
-from .topology import TopologyGraph, _integer, chimera_graph, complete_graph, load_edge_list
+from .topology import TopologyGraph, _check_real, _integer, chimera_graph, complete_graph, load_edge_list
 
 
 def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     """The one rule for ``random_qubo``'s arguments, also applied by
     ``ExperimentSpec``; returns ``n`` as a Python int.
 
-    ``n`` is an integer >= 1, ``density`` lies in [0, 1], and the range is a
-    pair ``lo < hi`` whose bounds and width ``hi - lo`` fit in a float (a
-    wider range cannot be sampled uniformly). Raises ``ValueError`` otherwise.
+    ``n`` is an integer >= 1, ``density`` a real in [0, 1], and the range a
+    pair of reals ``lo < hi`` whose bounds and width ``hi - lo`` fit in a
+    float (a wider range cannot be sampled uniformly); else ``ValueError``.
     """
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
+    _check_real(density, "density")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    lo, hi = coeff_range
+    try:
+        lo, hi = coeff_range
+    except (TypeError, ValueError):
+        raise ValueError(f"coefficient range {coeff_range!r} is not a pair of bounds") from None
+    _check_real(lo, "coefficient range bound")
+    _check_real(hi, "coefficient range bound")
     if not lo < hi:
         raise ValueError("coefficient range must be a nonempty interval")
     if not max(abs(lo), abs(hi), hi - lo) <= sys.float_info.max:  # exact for integer bounds

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -237,44 +236,6 @@ class ExactSampler:
         return spins_at(n, indices[rng.integers(0, indices.size, size=k)])
 
 
-@dataclass
-class SaSchedule:
-    """Geometric inverse-temperature ramp for the Metropolis surrogate.
-
-    When no explicit endpoints are given they are derived from the weights:
-    hot enough to accept the worst single-spin move about half the time,
-    cold enough to freeze the smallest nonzero single-spin gap. ``sweeps``
-    must be an integer and explicit endpoints finite real numbers; anything
-    else raises ``ValueError``.
-    """
-
-    sweeps: int = 100
-    beta_start: float | None = None
-    beta_end: float | None = None
-
-    def __post_init__(self):
-        self.sweeps = _integer(self.sweeps, "sweeps")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be at least 1")
-        if (self.beta_start is None) != (self.beta_end is None):
-            raise ValueError("give both beta endpoints or neither")
-        if self.beta_start is not None:
-            for name in ("beta_start", "beta_end"):
-                value = getattr(self, name)
-                real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-                if not (real and math.isfinite(value)):
-                    raise ValueError(f"{name} {value!r} is not a finite real number")
-            if not 0.0 < self.beta_start <= self.beta_end:
-                raise ValueError("need 0 < beta_start <= beta_end")
-
-    def betas(self, theta: WeightMatrix) -> np.ndarray:
-        if self.beta_start is not None:
-            lo, hi = self.beta_start, self.beta_end
-        else:
-            lo, hi = _auto_beta_range(theta.theta)
-        return np.geomspace(lo, hi, self.sweeps)
-
-
 # Every derived endpoint is at most this, so 2 * beta is finite: at an
 # infinite beta a spin with zero local field would get 0 * inf = NaN.
 _BETA_MAX = sys.float_info.max / 4
@@ -286,6 +247,11 @@ def _beta_for(log_odds: float, gap: float) -> float:
 
 
 def _auto_beta_range(theta: np.ndarray) -> tuple[float, float]:
+    """The beta ramp's endpoints: hot enough to accept the worst single-spin
+    move about half the time, cold enough to freeze the smallest nonzero
+    single-spin gap. Raises ``ValueError`` when ``sum|weights|`` exceeds the
+    limit for finite energies (``core._weight_sum``)."""
+    _weight_sum(theta, "sum|weights|")
     magnitudes = np.abs(theta)
     biases = np.diagonal(magnitudes)
     couplings = magnitudes - np.diag(biases)
@@ -301,9 +267,16 @@ def _auto_beta_range(theta: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class MetropolisSampler:
-    """Classical annealed-chain surrogate for the hardware."""
+    """Classical annealed-chain surrogate for the hardware: ``sweeps`` (an
+    integer >= 1, else ``ValueError``) sweeps per chain, at geometrically
+    spaced betas between the endpoints ``_auto_beta_range`` derives."""
 
-    schedule: SaSchedule = field(default_factory=SaSchedule)
+    sweeps: int = 100
+
+    def __post_init__(self):
+        self.sweeps = _integer(self.sweeps, "sweeps")
+        if self.sweeps < 1:
+            raise ValueError("sweeps must be at least 1")
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         """Run k independent annealed Metropolis chains and return their endpoints.
@@ -330,6 +303,7 @@ class MetropolisSampler:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
+        betas = np.geomspace(*_auto_beta_range(theta.theta), self.sweeps)
         n = theta.n
         classes = theta.graph.colour_classes
         order = np.concatenate(classes)
@@ -349,7 +323,7 @@ class MetropolisSampler:
             rows = slice(lo, hi)
             steps.append((couplings[rows, others], states[others], bias, states[rows], rows))
         accept = np.empty((n, k), dtype=bool)
-        for beta2 in 2.0 * self.schedule.betas(theta):
+        for beta2 in 2.0 * betas:
             # One draw per sweep: the classes are contiguous blocks of rows, so
             # each slice holds the values a per-class rng.random((size, k)) would.
             uniforms = rng.random((n, k))

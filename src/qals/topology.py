@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -15,6 +16,12 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _check_real(value, what: str) -> None:
+    """Reject ``value`` unless it is a real number; a bool or string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} {value!r} is not a real number")
 
 
 @dataclass

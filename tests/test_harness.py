@@ -246,6 +246,12 @@ BAD_INSTANCE_ARGS = [
     ((4, 0.5, (-1e308, 1e308)), "wider than a float can hold"),
     ((3, 0.5, (0, 10**400)), "wider than a float can hold"),  # an integer width beyond a float
     ((3, 0.5, (10**400, 10**400 + 1)), "wider than a float can hold"),  # bounds beyond a float
+    ((4, "0.5", (-1.0, 1.0)), "density '0.5' is not a real number"),
+    ((4, True, (-1.0, 1.0)), "density True is not a real number"),
+    ((4, 0.5, ("a", "b")), "coefficient range bound 'a' is not a real number"),
+    ((4, 0.5, (0.0, True)), "coefficient range bound True is not a real number"),
+    ((4, 0.5, 1.0), "coefficient range 1.0 is not a pair of bounds"),
+    ((4, 0.5, (0, 1, 2)), r"coefficient range \(0, 1, 2\) is not a pair of bounds"),
 ]
 
 

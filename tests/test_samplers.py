@@ -1,18 +1,19 @@
 """Local sampler backends, the argmin estimator, and range scaling."""
 
 import itertools
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qals.samplers as sam
 from qals import (
     CapacityError,
     ExactSampler,
     MetropolisSampler,
     RandomSampler,
-    SaSchedule,
     TopologyGraph,
     WeightMatrix,
     chimera_graph,
@@ -439,13 +440,13 @@ def test_metropolis_reaches_ground_state_of_cell_instances():
     # state in well over 95% of reads
     graph = chimera_graph(1)
     rng = np.random.default_rng(2024)
-    schedule = SaSchedule(sweeps=1000)
+    sampler = MetropolisSampler(sweeps=1000)
     hits = total = 0
     for _ in range(100):
         w = random_weights(rng, graph, integer=True)
         ms, _ = exact_minimizers(w)
         ground = {tuple(int(v) for v in row) for row in ms}
-        for s in MetropolisSampler(schedule).sample(w, 2, rng):
+        for s in sampler.sample(w, 2, rng):
             total += 1
             hits += tuple(int(v) for v in s) in ground
     assert hits / total >= 0.95
@@ -456,20 +457,25 @@ def test_metropolis_never_below_exact_minimum():
     for _ in range(15):
         w = random_weights(rng, complete_graph(7))
         _, emin = exact_minimizers(w)
-        for s in MetropolisSampler(SaSchedule(sweeps=50)).sample(w, 3, rng):
+        for s in MetropolisSampler(sweeps=50).sample(w, 3, rng):
             assert energy(w, s) >= emin - 1e-9
 
 
-def test_metropolis_constant_temperature_is_valid():
+def pin_betas(monkeypatch, lo, hi):
+    # sample and the reference sweeps look the ramp's endpoints up as a module global
+    monkeypatch.setattr(sam, "_auto_beta_range", lambda theta: (lo, hi))
+
+
+def test_metropolis_constant_temperature_is_valid(monkeypatch):
     w = weights(TOY, complete_graph(2))
-    schedule = SaSchedule(sweeps=10, beta_start=2.0, beta_end=2.0)
-    s = MetropolisSampler(schedule).sample(w, 4, np.random.default_rng(0))
+    pin_betas(monkeypatch, 2.0, 2.0)
+    s = MetropolisSampler(sweeps=10).sample(w, 4, np.random.default_rng(0))
     assert s.shape == (4, 2)
 
 
 def test_metropolis_flat_landscape_is_uniform():
     w = weights(np.zeros((3, 3)), complete_graph(3))
-    samples = MetropolisSampler(SaSchedule(sweeps=3)).sample(w, 4000, np.random.default_rng(9))
+    samples = MetropolisSampler(sweeps=3).sample(w, 4000, np.random.default_rng(9))
     seen = {}
     for s in samples:
         seen[tuple(int(v) for v in s)] = seen.get(tuple(int(v) for v in s), 0) + 1
@@ -478,7 +484,7 @@ def test_metropolis_flat_landscape_is_uniform():
         assert abs(c - 500) < 3 * np.sqrt(4000 * (1 / 8) * (7 / 8))
 
 
-def test_metropolis_matches_boltzmann_at_fixed_temperature():
+def test_metropolis_matches_boltzmann_at_fixed_temperature(monkeypatch):
     # the single correctness anchor for the chain: empirical distribution of
     # long constant-temperature runs against the exact Gibbs weights
     from qals.core import energies
@@ -494,21 +500,21 @@ def test_metropolis_matches_boltzmann_at_fixed_temperature():
     exact /= exact.sum()
     reads = 4000
     counts = np.zeros(16)
-    schedule = SaSchedule(sweeps=200, beta_start=beta, beta_end=beta)
-    for s in MetropolisSampler(schedule).sample(w, reads, np.random.default_rng(11)):
+    pin_betas(monkeypatch, beta, beta)
+    for s in MetropolisSampler(sweeps=200).sample(w, reads, np.random.default_rng(11)):
         idx = sum(1 << (3 - i) for i in range(4) if s[i] == 1)
         counts[idx] += 1
     tv = 0.5 * np.abs(counts / reads - exact).sum()
     assert tv < 0.05
 
 
-def per_spin_sweeps(theta, k, schedule, rng):
+def per_spin_sweeps(theta, k, sweeps, rng):
     # reference: one Python step per spin per sweep, in index order
     couplings = theta.theta.copy()
     np.fill_diagonal(couplings, 0.0)
     biases = theta.biases.copy()
     states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)
-    for beta in schedule.betas(theta):
+    for beta in np.geomspace(*sam._auto_beta_range(theta.theta), sweeps):
         for i in range(theta.n):
             local = states @ couplings[i]
             delta = -2.0 * states[:, i] * (biases[i] + local)
@@ -522,21 +528,24 @@ def per_spin_sweeps(theta, k, schedule, rng):
     "graph", [complete_graph(1), complete_graph(2), complete_graph(5), complete_graph(16), chimera_graph(1)]
 )
 @pytest.mark.parametrize("integer", [False, True])
-def test_metropolis_matches_per_spin_sweep_on_consecutive_classes(graph, integer):
+def test_metropolis_matches_per_spin_sweep_on_consecutive_classes(monkeypatch, graph, integer):
     # classes that are ascending runs of consecutive indices consume the rng
-    # exactly as the per-spin sweep does, so the samples are bit-identical
+    # exactly as the per-spin sweep does, so the samples are bit-identical;
+    # the last seed runs at a pinned beta range
     rng = np.random.default_rng(3)
     for seed in range(4):
         w = random_weights(rng, graph, integer=integer)
         k = (1, 3, 10, 10)[seed]
-        schedule = SaSchedule(sweeps=30) if seed < 3 else SaSchedule(5, 0.2, 4.0)
-        expected = per_spin_sweeps(w, k, schedule, np.random.default_rng(seed))
-        got = MetropolisSampler(schedule).sample(w, k, np.random.default_rng(seed))
+        sweeps = 30 if seed < 3 else 5
+        if seed == 3:
+            pin_betas(monkeypatch, 0.2, 4.0)
+        expected = per_spin_sweeps(w, k, sweeps, np.random.default_rng(seed))
+        got = MetropolisSampler(sweeps).sample(w, k, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, expected)
         assert got.dtype == expected.dtype
 
 
-def sample_major_class_sweeps(theta, k, schedule, rng):
+def sample_major_class_sweeps(theta, k, sweeps, rng):
     # reference: chains as rows, every class a block of columns whose field is
     # the product of all states with the full coupling columns
     classes = theta.graph.colour_classes
@@ -546,7 +555,7 @@ def sample_major_class_sweeps(theta, k, schedule, rng):
     np.fill_diagonal(couplings, 0.0)
     biases = theta.biases[order]
     states = (2 * rng.integers(0, 2, size=(k, theta.n)) - 1).astype(np.float64)[:, order]
-    for beta in schedule.betas(theta):
+    for beta in np.geomspace(*sam._auto_beta_range(theta.theta), sweeps):
         uniforms = rng.random((theta.n, k))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             spins = states[:, lo:hi]
@@ -575,24 +584,31 @@ def random_edge_graph(n, p, seed):
     ids=["chimera2", "chimera4", "ring5", "random24"],
 )
 @pytest.mark.parametrize("integer", [False, True])
-def test_metropolis_matches_sample_major_sweep_on_interleaved_classes(graph, class_count, integer):
+def test_metropolis_matches_sample_major_sweep_on_interleaved_classes(
+    monkeypatch, graph, class_count, integer
+):
     # the spin-major sweep reads only the other classes' columns; on these
     # graphs the classes interleave, and on the ring and the random graph the
-    # middle classes read the full row
+    # middle classes read the full row; each k runs at the derived and at a
+    # pinned beta range
     assert len(graph.colour_classes) == class_count
     rng = np.random.default_rng(4)
-    for k, schedule in itertools.product((1, 10), (SaSchedule(), SaSchedule(5, 0.2, 4.0))):
+    for k, pinned in itertools.product((1, 10), (False, True)):
         w = random_weights(rng, graph, integer=integer)
         seed = int(rng.integers(2**32))
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = MetropolisSampler(schedule).sample(w, k, ours)
-        expected = sample_major_class_sweeps(w, k, schedule, reference)
+        with monkeypatch.context() as patch:
+            if pinned:
+                pin_betas(patch, 0.2, 4.0)
+            sweeps = 5 if pinned else 100
+            got = MetropolisSampler(sweeps).sample(w, k, ours)
+            expected = sample_major_class_sweeps(w, k, sweeps, reference)
         np.testing.assert_array_equal(got, expected)
         assert got.dtype == expected.dtype and got.strides == expected.strides
         assert ours.random() == reference.random()
 
 
-def test_metropolis_matches_boltzmann_on_interleaved_classes():
+def test_metropolis_matches_boltzmann_on_interleaved_classes(monkeypatch):
     # a 6-ring colours as {0, 2, 4} and {1, 3, 5}: each sweep flips three
     # spins per vectorised step, which must leave the Gibbs weights intact
     from qals.core import energies
@@ -606,43 +622,45 @@ def test_metropolis_matches_boltzmann_on_interleaved_classes():
     exact = np.exp(-beta * energies(w.theta, states))
     exact /= exact.sum()
     reads = 20000
-    schedule = SaSchedule(sweeps=200, beta_start=beta, beta_end=beta)
-    samples = MetropolisSampler(schedule).sample(w, reads, np.random.default_rng(11))
+    pin_betas(monkeypatch, beta, beta)
+    samples = MetropolisSampler(sweeps=200).sample(w, reads, np.random.default_rng(11))
     idx = ((samples == 1) * (1 << np.arange(5, -1, -1))).sum(axis=1)
     counts = np.bincount(idx, minlength=64)
     tv = 0.5 * np.abs(counts / reads - exact).sum()
     assert tv < 0.05
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        SaSchedule(sweeps=0)
-    with pytest.raises(ValueError):
-        SaSchedule(beta_start=1.0)
-    with pytest.raises(ValueError):
-        SaSchedule(beta_start=2.0, beta_end=1.0)
-
-
 @pytest.mark.parametrize(
-    "kwargs",
+    "sweeps, message",
     [
-        dict(sweeps=2.5),
-        dict(sweeps=True),
-        dict(sweeps="3"),
-        dict(beta_start=0.1, beta_end=float("inf")),
-        dict(beta_start=float("nan"), beta_end=1.0),
-        dict(beta_start=True, beta_end=2.0),
-        dict(beta_start=0.1, beta_end="2"),
+        (0, "sweeps must be at least 1"),
+        (-1, "sweeps must be at least 1"),
+        (2.5, "sweeps 2.5 is not an integer"),
+        (True, "sweeps True is not an integer"),
+        ("3", "sweeps '3' is not an integer"),
     ],
 )
-def test_schedule_rejects_ill_typed_and_non_finite_fields(kwargs):
-    with pytest.raises(ValueError):
-        SaSchedule(**kwargs)
+def test_metropolis_rejects_bad_sweeps(sweeps, message):
+    with pytest.raises(ValueError, match=message):
+        MetropolisSampler(sweeps=sweeps)
 
 
-def test_schedule_stores_numpy_sweeps_as_int():
-    schedule = SaSchedule(sweeps=np.int64(4), beta_start=np.float64(0.5), beta_end=2)
-    assert type(schedule.sweeps) is int and schedule.betas(zero_weights(2)).size == 4
+def test_metropolis_stores_numpy_sweeps_as_int():
+    sampler = MetropolisSampler(sweeps=np.int64(4))
+    assert type(sampler.sweeps) is int
+    # the initial states, then one (n, k) block of uniforms per sweep
+    got, reference = np.random.default_rng(0), np.random.default_rng(0)
+    sampler.sample(zero_weights(2), 3, got)
+    reference.integers(0, 2, size=(3, 2))
+    reference.random((4 * 2, 3))
+    assert got.bit_generator.state == reference.bit_generator.state
+
+
+def test_metropolis_rejects_weights_above_the_shared_bound():
+    # a 1e308 coupling made the derived ramp's hot end 0 and geomspace failed
+    w = WeightMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]), complete_graph(2))
+    with pytest.raises(ValueError, match=re.escape("sum|weights| is inf, above the limit")):
+        MetropolisSampler().sample(w, 2, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -664,7 +682,7 @@ def test_metropolis_flips_a_zero_field_spin_at_the_coldest_derived_beta():
     initial = 2 * np.random.default_rng(0).integers(0, 2, size=(8, 3)) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = MetropolisSampler(SaSchedule(sweeps=3)).sample(w, 8, np.random.default_rng(0))
+        rows = MetropolisSampler(sweeps=3).sample(w, 8, np.random.default_rng(0))
     np.testing.assert_array_equal(rows[:, 2], -initial[:, 2])
 
 
