@@ -300,6 +300,12 @@ class MetropolisSampler:
         read the single block of rows after or before them; a class in the middle
         has a complement of two blocks and reads the full row. On a two-class
         graph (every Chimera graph) this halves each product.
+
+        A class step is seven array calls. A flip of spin s in local field f is
+        accepted when a uniform u < exp(2 beta s f); as u < 1, no clamp is needed.
+        The new spin is copysign(1, (u - exp(2 beta s f)) * 2 beta s): u - e < 0
+        exactly when u < e, and u == e gives +0. 2 beta s is formed once per sweep.
+        An overflow gives +-inf, whose exp, inf or 0, decides the move exactly.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -309,35 +315,34 @@ class MetropolisSampler:
         order = np.concatenate(classes)
         bounds = np.cumsum([0] + [c.size for c in classes])
         # Permute once so that every class is a contiguous block of rows and columns.
-        couplings = theta.theta[np.ix_(order, order)]
+        couplings = theta.theta.take(order, 0).take(order, 1)
         np.fill_diagonal(couplings, 0.0)
         biases = theta.biases[order]
 
         initial = (2 * rng.integers(0, 2, size=(k, n)) - 1).astype(np.float64)
         states = np.ascontiguousarray(initial.T[order])
+        uniforms, beta_spins = np.empty((n, k)), np.empty((n, k))  # filled once per sweep
         steps = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             others = slice(hi, n) if lo == 0 else slice(0, lo) if hi == n else slice(0, n)
             # a full (size, k) operand adds faster than a broadcast column
             bias = np.repeat(biases[lo:hi, None], k, axis=1)
-            rows = slice(lo, hi)
-            steps.append((couplings[rows, others], states[others], bias, states[rows], rows))
-        accept = np.empty((n, k), dtype=bool)
-        for beta2 in 2.0 * betas:
-            # One draw per sweep: the classes are contiguous blocks of rows, so
-            # each slice holds the values a per-class rng.random((size, k)) would.
-            uniforms = rng.random((n, k))
-            for block, fixed, bias, spins, rows in steps:
-                # x = s * (local field) is minus half the flip cost, so the
-                # acceptance probability min(1, exp(-beta * cost)) is exp(2 beta min(x, 0))
-                x = block @ fixed
-                x += bias
-                x *= spins
-                np.minimum(x, 0.0, out=x)
-                x *= beta2
-                np.exp(x, out=x)
-                np.less(uniforms[rows], x, out=accept[rows])
-                np.negative(spins, out=spins, where=accept[rows])
+            views = (states[lo:hi], uniforms[lo:hi], beta_spins[lo:hi])
+            steps.append((couplings[lo:hi, others], states[others], bias, *views))
+        with np.errstate(over="ignore"):  # 2 beta is finite and nonzero, so no NaN
+            for beta2 in 2.0 * betas:
+                # One draw per sweep: the classes are contiguous blocks of rows, so
+                # each slice holds the values a per-class rng.random((size, k)) would.
+                rng.random(out=uniforms)
+                np.multiply(states, beta2, out=beta_spins)  # a class flips only in its step
+                for block, fixed, bias, spins, u, sb in steps:
+                    x = block @ fixed
+                    x += bias
+                    x *= sb  # the bits of (s f) 2 beta: rounding is sign-symmetric
+                    np.exp(x, out=x)
+                    np.subtract(u, x, out=x)  # negative exactly when the flip is accepted
+                    x *= sb
+                    np.copysign(1.0, x, out=spins)
         return states[np.argsort(order)].T.astype(SPIN_DTYPE)
 
 
@@ -432,7 +437,7 @@ def estimate_argmin(
     same spins, so the tie rule would pick the same state.
     """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
-    if samples.tobytes() == samples[0].tobytes() * k:  # validated: C-contiguous int8
+    if samples.tobytes() == samples[0].tobytes() * k:  # int8; tobytes() is C order in any layout
         return samples[0]
     return samples[int(energies(theta.theta, samples).argmin())]
 

@@ -573,6 +573,24 @@ def random_edge_graph(n, p, seed):
     return TopologyGraph(n, [(i, j) for i, j in pairs if rng.random() < p])
 
 
+def landscape(rng, graph, kind):
+    """Random float (False) or integer (True) weights, or a boundary landscape:
+    "zero_field" has couplings of +-1 and no biases, so local fields are often
+    0 and the acceptance value is 1; "capped" gives integer weights a 1e-308
+    first bias, which caps the cold beta at _BETA_MAX, where 2 beta times a
+    field overflows and the acceptance values are 0 and inf."""
+    if kind == "zero_field":
+        a = np.triu(rng.choice([-1.0, 1.0], size=(graph.n, graph.n)), 1)
+        return weights((a + a.T) * graph.adjacency_mask, graph)
+    w = random_weights(rng, graph, integer=kind is not False)
+    if kind == "capped":
+        theta = w.theta.copy()
+        theta[0, 0] = 1e-308
+        w = weights(theta, graph)
+        assert sam._auto_beta_range(theta)[1] == sam._BETA_MAX
+    return w
+
+
 @pytest.mark.parametrize(
     "graph, class_count",
     [
@@ -583,9 +601,9 @@ def random_edge_graph(n, p, seed):
     ],
     ids=["chimera2", "chimera4", "ring5", "random24"],
 )
-@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("kind", [False, True, "zero_field", "capped"])
 def test_metropolis_matches_sample_major_sweep_on_interleaved_classes(
-    monkeypatch, graph, class_count, integer
+    monkeypatch, graph, class_count, kind
 ):
     # the spin-major sweep reads only the other classes' columns; on these
     # graphs the classes interleave, and on the ring and the random graph the
@@ -594,15 +612,16 @@ def test_metropolis_matches_sample_major_sweep_on_interleaved_classes(
     assert len(graph.colour_classes) == class_count
     rng = np.random.default_rng(4)
     for k, pinned in itertools.product((1, 10), (False, True)):
-        w = random_weights(rng, graph, integer=integer)
+        w = landscape(rng, graph, kind)
         seed = int(rng.integers(2**32))
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         with monkeypatch.context() as patch:
             if pinned:
                 pin_betas(patch, 0.2, 4.0)
             sweeps = 5 if pinned else 100
-            got = MetropolisSampler(sweeps).sample(w, k, ours)
-            expected = sample_major_class_sweeps(w, k, sweeps, reference)
+            got = MetropolisSampler(sweeps).sample(w, k, ours)  # RuntimeWarnings fail the test
+            with np.errstate(over="ignore"):  # the reference reports its capped-beta overflows
+                expected = sample_major_class_sweeps(w, k, sweeps, reference)
         np.testing.assert_array_equal(got, expected)
         assert got.dtype == expected.dtype and got.strides == expected.strides
         assert ours.random() == reference.random()
@@ -675,6 +694,19 @@ def test_derived_betas_stay_finite_on_subnormal_weights(theta):
     assert 0.0 < hot <= cold and np.isfinite(2.0 * cold)
 
 
+def test_metropolis_decides_overflowing_moves_silently_at_a_capped_beta():
+    # the 1e-308 bias caps the cold beta at _BETA_MAX, where 2 beta times a
+    # field of 6 overflows; +-inf still accepts or rejects its move exactly
+    w = weights([[1e-308, 3, 3], [3, 0, 3], [3, 3, 0]], complete_graph(3))
+    assert sam._auto_beta_range(w.theta)[1] == sam._BETA_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = MetropolisSampler(sweeps=5).sample(w, 4, np.random.default_rng(0))
+    with np.errstate(over="ignore"):
+        expected = per_spin_sweeps(w, 4, 5, np.random.default_rng(0))
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_metropolis_flips_a_zero_field_spin_at_the_coldest_derived_beta():
     # spin 2 has no bias and no coupling, so each sweep flips it; at an
     # infinite beta its acceptance value would be 0 * inf = NaN and it would stay
@@ -721,6 +753,27 @@ def test_estimate_argmin_identical_samples(monkeypatch):
     z = estimate_argmin(exact, unique, 4, None)  # a one-state set draws nothing
     np.testing.assert_array_equal(z, [-1, 1, -1])
     assert calls == []
+
+
+def test_estimate_argmin_reads_f_ordered_batches(monkeypatch):
+    # Metropolis returns F-ordered samples and validation keeps the layout;
+    # tobytes() is C order all the same, so only identical rows skip scoring
+    class Stub:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def sample(self, theta, k, rng):
+            return np.asfortranarray(np.array(self.rows, dtype=np.int8))
+
+    calls = count_energies(monkeypatch)
+    w = weights(np.diag([1.0, -2.0, 1.0]), complete_graph(3))
+    same, mixed = Stub([[1, -1, 1]] * 4), Stub([[1, -1, 1], [1, 1, 1], [-1, 1, -1], [1, -1, 1]])
+    validated = sam._validate_samples(mixed.sample(w, 4, None), 3, 4)
+    assert validated.flags.f_contiguous and not validated.flags.c_contiguous
+    np.testing.assert_array_equal(estimate_argmin(same, w, 4, None), [1, -1, 1])
+    assert calls == []
+    np.testing.assert_array_equal(estimate_argmin(mixed, w, 4, None), [-1, 1, -1])
+    assert calls == [4]
 
 
 def test_estimate_argmin_zero_landscape():
