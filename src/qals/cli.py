@@ -42,9 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="minimize a QUBO instance file")
     p_solve.add_argument("file")
-    p_solve.add_argument("--graph", default="complete",
+    p_solve.add_argument("--graph", default=ExperimentSpec.graph,
                          help="complete | chimera:<m> | file:<path>")
-    p_solve.add_argument("--sampler", default="sa",
+    p_solve.add_argument("--sampler", default=ExperimentSpec.backend,
                          help="exact | sa | random | remote:<url>")
     for f in dataclasses.fields(QalsParams):
         flag = "--n-max" if f.name == "N_max" else "--" + f.name.replace("_", "-")

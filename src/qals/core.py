@@ -41,11 +41,11 @@ def identity_permutation(n: int) -> np.ndarray:
 
 
 def _checked_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
-    """``a`` as float64, checked to be square, finite and exactly symmetric.
+    """A read-only float64 copy of ``a``, checked to be square, finite and exactly symmetric.
 
     The shape must be (n, n) when ``n`` is given, else (m, m) for any m >= 1.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.array(a, dtype=np.float64)
     square = a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
     if not square or (n is not None and a.shape[0] != n):
         expected = "a square matrix" if n is None else f"({n}, {n})"
@@ -54,17 +54,21 @@ def _checked_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if not (a == a.T).all():
         raise ValueError(f"{name} must be symmetric")
+    a.flags.writeable = False
     return a
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuboProblem:
-    """A QUBO instance: minimize z^T Q z over z in {-1,+1}^n, Q symmetric."""
+    """A QUBO instance: minimize z^T Q z over z in {-1,+1}^n, Q symmetric.
+
+    ``q`` is a read-only copy, checked once, here: no later write can change it.
+    """
 
     q: np.ndarray
 
     def __post_init__(self):
-        self.q = _checked_symmetric(self.q, "Q")
+        object.__setattr__(self, "q", _checked_symmetric(self.q, "Q"))
 
     @property
     def n(self) -> int:
@@ -77,12 +81,12 @@ class WeightMatrix:
 
     Off-diagonal entries must vanish outside the support graph's edge set,
     that is wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
-    The public constructor is the boundary: it checks the shape, that the
-    entries are finite and symmetric, and the edge support. ``_trusted``
-    skips those checks and is only for code that makes the invariants true
-    itself: ``_place``, the body of ``encode`` (finite symmetric inputs,
-    masked by the support), and ``scale_to_ranges`` (a checked matrix
-    divided by one positive scalar).
+    The public constructor is the boundary: it keeps a read-only copy of
+    ``theta`` and checks its shape, that the entries are finite and
+    symmetric, and the edge support. ``_trusted`` skips those checks and is
+    only for code that makes the invariants true itself: ``_place``, the
+    body of ``encode`` (finite symmetric inputs, masked by the support), and
+    ``scale_to_ranges`` (a checked matrix divided by one positive scalar).
 
     ``placement`` is the sigma these weights were encoded under (qubit
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
@@ -323,10 +327,7 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
 
     This is the checked boundary: ``qprime`` must be (n, n), finite and
     symmetric (off-edge entries included) and ``sigma`` a permutation of the
-    nodes. ``solve`` calls it for its two initialization encodings, which
-    check ``problem.q`` and the first two placements; its loop then calls
-    ``_place`` directly, on coefficients and placements it builds from
-    those. The result records ``sigma`` (the checked array itself, not a
+    nodes. The result records ``sigma`` (the checked array itself, not a
     copy) as its ``placement``.
     """
     n = graph.n

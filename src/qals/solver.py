@@ -20,8 +20,8 @@ from .core import (
     TabuMatrix,
     _place,
     _weight_sum,
-    decode,
-    encode,
+    decode,  # unused; kept because perfbench's assert_untraced() reads it from qals.solver
+    encode,  # unused; kept because perfbench's assert_untraced() reads it from qals.solver
     identity_permutation,
     objective,
     tabu_init,
@@ -136,44 +136,39 @@ def solve(
     Everything is a deterministic function of (problem, graph, sampler
     backend, params.seed).
 
-    Inputs are checked before the first sampler call: the graph size here,
-    ``problem.q`` and the two initial placements by the checked ``encode``
-    and ``decode`` of initialization, and the largest weight sum the run
-    can form (``sum|Q| + lambda0 * (i_max + 1) * n**2``) against overflow.
-    The loop then trusts what it builds from those: each placement is a
-    ``modify_permutation`` of a checked one, ``q + lam * S`` is finite and
-    exactly symmetric, and each sample was checked by ``estimate_argmin``.
-    So it places the coefficients with ``_place`` and reads the sample back
-    as ``y[sigma]``, without ``encode``'s and ``decode``'s checks. The
-    coefficients ``q + lam * S`` are built once before the loop and again
-    only where an evaluated candidate updates lam or the tabu matrix; an
-    iteration that returns the current solution changes neither, so it
+    ``QuboProblem`` checked ``problem.q`` once. ``solve`` checks only the
+    graph size and that the largest weight sum the run can form
+    (``sum|Q| + lambda0 * (i_max + 1) * n**2``) cannot overflow. Every
+    annealer call is one step: ``_place`` the coefficients under sigma (a
+    permutation; ``q + lam * S`` is finite and exactly symmetric), take
+    ``estimate_argmin``'s checked best sample, read it back as ``y[sigma]``.
+    The coefficients ``q + lam * S`` are built once before the loop and
+    again only where an evaluated candidate updates lam or the tabu matrix;
+    an iteration that returns the current solution changes neither, so it
     places the same coefficients under its new sigma.
     """
     n = problem.n
     if graph.n != n:
         raise ValueError(f"problem has {n} variables but graph has {graph.n} nodes")
+    penalty = params.lambda0 * (params.i_max + 1) * n * n  # |lam * S_ij| <= lambda0 * (i_max + 1)
+    _weight_sum(problem.q, "sum|Q| + lambda0 * (i_max + 1) * n^2, the run's bound,", penalty)
     streams = _named_streams(params.seed)
     perm_rng = streams["permutation"]
     pert_rng = streams["perturbation"]
     acc_rng = streams["acceptance"]
     samp_rng = streams["sampler"]
 
-    def run_annealer(theta, phase):
+    def anneal(coeffs, sigma, phase):
         try:
-            return estimate_argmin(sampler, theta, params.k, samp_rng)
+            return estimate_argmin(sampler, _place(coeffs, sigma, graph), params.k, samp_rng)[sigma]
         except SamplerError as exc:
             reraise_with_context(exc, f"during {phase}")
 
     ident = identity_permutation(n)
     sigma1 = modify_permutation(ident, 1.0, perm_rng)
     sigma2 = modify_permutation(ident, 1.0, perm_rng)
-    theta = encode(problem.q, sigma1, graph)  # checks problem.q, which the weight sum reads
-    penalty = params.lambda0 * (params.i_max + 1) * n * n  # |lam * S_ij| <= lambda0 * (i_max + 1)
-    _weight_sum(problem.q, "sum|Q| + lambda0 * (i_max + 1) * n^2, the run's bound,", penalty)
-    z1 = decode(run_annealer(theta, "initialization"), sigma1)
-    theta = encode(problem.q, sigma2, graph)
-    z2 = decode(run_annealer(theta, "initialization"), sigma2)
+    z1 = anneal(problem.q, sigma1, "initialization")
+    z2 = anneal(problem.q, sigma2, "initialization")
     f1 = objective(problem, z1)
     f2 = objective(problem, z2)
     evaluations = 2
@@ -196,8 +191,7 @@ def solve(
         if i % params.N == 0:
             p = update_p(p, params.p_delta, params.eta)
         sigma = modify_permutation(sigma_star, p, perm_rng)
-        theta = _place(coeffs, sigma, graph)
-        z_prime = run_annealer(theta, f"iteration {i}")[sigma]
+        z_prime = anneal(coeffs, sigma, f"iteration {i}")
         if pert_rng.random() < params.q:
             z_prime = perturb_candidate(z_prime, p, pert_rng)
 

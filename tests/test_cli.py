@@ -292,3 +292,12 @@ def test_gen_takes_its_instance_defaults_from_the_experiment_spec(capsys):
     argv = ["gen", "--n", "4", "--seed", "2", "--density", str(spec.density)]
     assert main(argv + ["--range={}:{}".format(*spec.coeff_range)]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_solve_takes_its_graph_and_sampler_defaults_from_the_experiment_spec(monkeypatch):
+    from qals import ExperimentSpec
+
+    monkeypatch.setattr(ExperimentSpec, "graph", "chimera:1")
+    monkeypatch.setattr(ExperimentSpec, "backend", "random")
+    args = cli._build_parser().parse_args(["solve", "instance.qubo"])
+    assert (args.graph, args.sampler) == ("chimera:1", "random")

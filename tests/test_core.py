@@ -117,6 +117,20 @@ def test_weight_matrix_rejects_off_support_couplings():
         WeightMatrix(theta, g)
 
 
+def test_weight_matrix_keeps_a_read_only_copy():
+    w = np.eye(2)
+    theta = WeightMatrix(w, TopologyGraph(2, []))
+    w[0, 1] = w[1, 0] = 9.0  # a coupling outside the empty edge set
+    np.testing.assert_array_equal(theta.theta, np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        theta.theta[0, 1] = 9.0
+
+
+def test_energy_rejects_a_spin_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 3, weights expect 2"):
+        energy(weights(np.eye(2), complete_graph(2)), np.array([1, -1, 1]))
+
+
 # -------------------------------------------------------------------- tabu
 
 
@@ -159,6 +173,24 @@ def test_tabu_update_opposite_candidates():
     expected_off = 2 * np.outer(z, z)
     np.fill_diagonal(expected_off, 0)
     np.testing.assert_array_equal(s.s - np.diag(np.diagonal(s.s)), expected_off)
+
+
+def test_tabu_update_rejects_a_spin_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 3, tabu matrix expects 2"):
+        tabu_update(TabuMatrix.zeros(2), np.array([1, -1, 1]))
+
+
+@pytest.mark.parametrize(
+    "s, match",
+    [
+        (np.zeros((2, 3)), "must be square"),
+        (np.zeros(4), "must be square"),
+        ([[0, 1], [2, 0]], "must be symmetric"),
+    ],
+)
+def test_tabu_matrix_rejects_a_non_square_or_asymmetric_s(s, match):
+    with pytest.raises(ValueError, match=match):
+        TabuMatrix(s)
 
 
 def test_tabu_recursion_equals_closed_form():
@@ -408,6 +440,9 @@ def test_params_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="lambda0"):
             QalsParams(lambda0=bad)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            QalsParams(seed=bad)
 
 
 @pytest.mark.parametrize("name", ["N", "k", "i_max", "N_max", "d_min", "seed"])

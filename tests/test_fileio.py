@@ -50,6 +50,22 @@ def test_parse_rejects_bad_header():
         parse_qubo_file("")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("qubo x\n", "line 1: size is not an integer"),
+        ("qubo 0\n", "line 1: size must be positive"),
+        ("qubo 2\n0 1\n", "line 2: expected 'i j value'"),
+        ("qubo 2\n0 1 1.0 2\n", "line 2: expected 'i j value'"),
+        ("qubo 2\n0 1 x\n", "line 2: malformed entry"),
+        ("qubo 2\n0 1.5 1.0\n", "line 2: malformed entry"),
+    ],
+)
+def test_parse_rejects_malformed_lines(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_qubo_file(text)
+
+
 def test_parse_comments_and_blank_lines():
     text = "# instance\nqubo 3\n\n0 2 -1.5  # coupling\n"
     p = parse_qubo_file(text)
@@ -106,6 +122,11 @@ def test_every_spec_field_has_a_config_key():
 def test_config_unknown_key():
     with pytest.raises(ParseError, match="unknown key"):
         parse_experiment_config("n = 4\nweird = 1\n")
+
+
+def test_config_line_without_equals():
+    with pytest.raises(ParseError, match="line 2: expected 'key = value'"):
+        parse_experiment_config("n = 4\nreplicas 2\n")
 
 
 def test_config_requires_n():

@@ -11,6 +11,7 @@ from qals import (
     ExperimentSpec,
     QalsParams,
     QuboProblem,
+    TopologyGraph,
     brute_force_min,
     objective,
     random_qubo,
@@ -136,6 +137,11 @@ def test_experiment_spec_rejects_non_integer_counts(name, bad):
         small_spec(**{name: bad})
 
 
+def test_experiment_spec_rejects_zero_replicas():
+    with pytest.raises(ValueError, match="replicas must be at least 1"):
+        small_spec(replicas=0)
+
+
 def test_experiment_single_replica_succeeds():
     report = run_experiment(small_spec(replicas=1, params=QalsParams(i_max=400, seed=5)))
     assert report.success_rate == 1.0
@@ -215,6 +221,7 @@ def test_experiment_oracle_guard(monkeypatch):
         ({"graph": "file:/nonexistent/graph.edges"}, "No such file"),
         ({"graph": "chimera:x"}, "chimera:x"),
         ({"graph": "chimera:1"}, "graph has 8 nodes"),
+        ({"graph": "torus"}, "unknown graph selector 'torus'"),
     ],
 )
 def test_experiment_bad_selector_fails_before_the_oracle(monkeypatch, spec_kwargs, message):
@@ -223,6 +230,13 @@ def test_experiment_bad_selector_fails_before_the_oracle(monkeypatch, spec_kwarg
     with pytest.raises((ValueError, OSError), match=message):
         run_experiment(small_spec(**spec_kwargs))
     assert calls == []
+
+
+def test_make_graph_loads_an_edge_list_file(tmp_path):
+    path = tmp_path / "ring.edges"
+    path.write_text("n 4\n0 1\n1 2\n2 3\n3 0\n")
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert harness.make_graph(f"file:{path}", 4) == TopologyGraph(4, pairs)
 
 
 def test_make_graph_names_a_bad_chimera_size():

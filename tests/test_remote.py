@@ -50,6 +50,9 @@ class _Service:
                 if service.mode == "bad_info":
                     self._send(200, {"delta": 2.0})
                     return
+                if service.mode == "info_error":
+                    self._send(503, {"error": "maintenance"})
+                    return
                 info = {"delta": 2.0, "gamma": 1.0, "topology": "complete", "max_nodes": 16}
                 if service.mode == "nan_delta":
                     info["delta"] = float("nan")
@@ -91,6 +94,9 @@ class _Service:
                     self._send(200, {"samples": [service.sample_row], "energies": [0.0]})
                 elif service.mode == "fractional_spin":
                     samples = [[1.5, -1, 1]] * k
+                    self._send(200, {"samples": samples, "energies": [0.0] * k})
+                elif service.mode == "string_spin":
+                    samples = [["1", "-1", "1"]] * k
                     self._send(200, {"samples": samples, "energies": [0.0] * k})
                 elif service.mode == "infinite_spin":
                     samples = [[float("inf"), -1, 1]] * k
@@ -210,6 +216,12 @@ def test_bad_info_payload():
             RemoteSampler(svc.url).info()
 
 
+def test_info_error_status():
+    with _Service(mode="info_error") as svc:
+        with pytest.raises(MalformedResponseError, match="info returned status 503"):
+            RemoteSampler(svc.url).sample(toy_weights(), 1)
+
+
 def test_unreachable_endpoint():
     sampler = RemoteSampler("http://127.0.0.1:1", timeout=0.5)
     with pytest.raises(TransportError):
@@ -279,7 +291,7 @@ def test_one_shot_helper():
 # json.dumps writes NaN and Infinity, which Python's json (and so requests)
 # reads back as floats: each mode is a payload that parses but is not valid.
 @pytest.mark.parametrize(
-    "mode", ["fractional_spin", "infinite_spin", "nan_energy", "string_energies"]
+    "mode", ["fractional_spin", "infinite_spin", "nan_energy", "string_energies", "string_spin"]
 )
 def test_invalid_sample_payload_rejected(mode):
     with _Service(mode=mode) as svc:

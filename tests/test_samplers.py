@@ -820,6 +820,13 @@ def test_sampler_contract_shape_enforced():
     with pytest.raises(SampleShapeError):
         estimate_argmin(Broken(), w, 2, np.random.default_rng(0))
 
+    class NotSpins:
+        def sample(self, theta, k, rng):
+            return np.zeros((k, theta.n), dtype=np.int8)
+
+    with pytest.raises(SampleShapeError, match=r"entries other than -1/\+1"):
+        estimate_argmin(NotSpins(), w, 2, np.random.default_rng(0))
+
 
 # ------------------------------------------------------------ range scaling
 
@@ -936,6 +943,12 @@ def test_scale_bounds_attained():
 
 
 # -------------------------------------------------------------- determinism
+
+
+@pytest.mark.parametrize("make", [ExactSampler, MetropolisSampler, RandomSampler])
+def test_local_backends_reject_zero_reads(make):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        make().sample(zero_weights(3), 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("make", [ExactSampler, MetropolisSampler, RandomSampler])

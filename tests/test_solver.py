@@ -1,5 +1,6 @@
 """The learning-search loop and its helper operations."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -15,6 +16,7 @@ from qals import (
     RandomSampler,
     SamplerError,
     TabuMatrix,
+    brute_force_min,
     complete_graph,
     decode,
     objective,
@@ -156,6 +158,12 @@ def test_accept_unit_worsening_has_probability_p():
 def test_accept_rejects_improving_calls():
     with pytest.raises(ValueError):
         accept_suboptimal(0.5, 0.0, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
+def test_accept_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        accept_suboptimal(p, 1.0, 0.0, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- schedules
@@ -386,7 +394,10 @@ def test_solve_places_the_coefficients_of_each_iterations_lambda_and_tabu(monkey
     rejected = sum(t["f_prime"] is not None and not t["accepted"] for t in trace)
     improved = [t["improved"] for t in trace]
     assert duplicates and rejected and sum(improved)
-    assert len(placed) == report.iterations  # the loop's placements; initialization encodes
+    assert len(placed) == report.iterations + 2  # two initialization placements, then the loop's
+    for c in placed[:2]:
+        np.testing.assert_array_equal(c, problem.q)
+    placed = placed[2:]
     if len(tabus) == sum(improved):  # the two initial candidates tied: no tabu_init
         tabus.insert(0, TabuMatrix.zeros(7))
     lam = params.lambda0
@@ -461,16 +472,18 @@ class CountingSampler:
         return RandomSampler().sample(theta, k, rng)
 
 
-@pytest.mark.parametrize(
-    "entry, value, match", [((0, 0), np.nan, "non-finite"), ((0, 1), 5.0, "symmetric")]
-)
-def test_solve_checks_q_changed_after_construction(entry, value, match):
-    problem = QuboProblem(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    problem.q[entry] = value
-    sampler = CountingSampler()
-    with pytest.raises(ValueError, match=match):
-        solve(problem, complete_graph(2), sampler, QalsParams(i_max=5))
-    assert sampler.calls == 0
+def test_problem_q_cannot_change_after_construction():
+    a = np.array([[0.0, 5.0], [5.0, 0.0]])
+    problem = QuboProblem(a)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.q[0, 1] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.q = np.zeros((2, 2))
+    a[1, 0] = -10.0  # had problem.q followed, its objective's minimum would be -5
+    np.testing.assert_array_equal(problem.q, [[0.0, 5.0], [5.0, 0.0]])
+    assert brute_force_min(problem)[1] == brute_force(problem)[1] == -10.0
+    report = solve(problem, complete_graph(2), ExactSampler(), QalsParams(i_max=5))
+    assert report.f_best == -10.0
 
 
 def test_solve_rejects_coefficients_that_could_overflow():

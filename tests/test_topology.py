@@ -127,6 +127,11 @@ def test_graph_constructors_reject_non_integer_counts(build, bad, what):
         build(bad)
 
 
+def test_chimera_graph_rejects_a_non_positive_size():
+    with pytest.raises(ValueError, match="grid size must be positive"):
+        chimera_graph(0)
+
+
 def test_graph_stores_ordered_python_int_pairs():
     g = TopologyGraph(np.int64(3), iter([(np.int64(2), 0), (0, 2), (1, 0)]))
     assert type(g.n) is int and isinstance(g.edges, frozenset)
@@ -166,6 +171,8 @@ def test_parse_edge_list_file_format():
         "n 3\n0 9\n",       # out of range
         "n 3\n1 1\n",       # self loop
         "n 0\n",            # empty graph size
+        "# c\n\n",          # no header line at all
+        "n 3\n0 x\n",       # non-integer node index
     ],
 )
 def test_parse_edge_list_errors(text):
