@@ -486,6 +486,26 @@ def test_problem_q_cannot_change_after_construction():
     assert report.f_best == -10.0
 
 
+@pytest.mark.parametrize(
+    "entry, value, match", [((0, 0), np.nan, "non-finite"), ((0, 1), 5.0, "symmetric")]
+)
+def test_solve_checks_q_changed_after_construction(entry, value, match):
+    # Q is checked once, at construction: a bad write into problem.q is refused,
+    # and the same write into the caller's array never reaches the problem
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    problem = QuboProblem(a)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.q[entry] = value
+    a[entry] = value
+    with pytest.raises(ValueError, match=match):
+        QuboProblem(a)
+    np.testing.assert_array_equal(problem.q, [[0.0, 1.0], [1.0, 0.0]])
+    sampler = CountingSampler()
+    report = solve(problem, complete_graph(2), sampler, QalsParams(i_max=5))
+    assert sampler.calls == 5 + 2
+    assert math.isfinite(report.f_best)
+
+
 def test_solve_rejects_coefficients_that_could_overflow():
     # lambda0 * S reaches 1e308 * 201 and beyond, so energies would be inf or NaN
     problem = random_qubo(8, 0.5, (-1, 1), np.random.default_rng(0))
