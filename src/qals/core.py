@@ -63,6 +63,7 @@ class QuboProblem:
     """A QUBO instance: minimize z^T Q z over z in {-1,+1}^n, Q symmetric.
 
     ``q`` is a read-only copy, checked once, here: no later write can change it.
+    Copies and pickles are rebuilt through the constructor, so theirs is too.
     """
 
     q: np.ndarray
@@ -70,12 +71,15 @@ class QuboProblem:
     def __post_init__(self):
         object.__setattr__(self, "q", _checked_symmetric(self.q, "Q"))
 
+    def __reduce__(self):
+        return QuboProblem, (self.q,)
+
     @property
     def n(self) -> int:
         return self.q.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightMatrix:
     """Annealer weights: diagonal entries are biases, off-diagonal couplings.
 
@@ -83,7 +87,8 @@ class WeightMatrix:
     that is wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
     The public constructor is the boundary: it keeps a read-only copy of
     ``theta`` and checks its shape, that the entries are finite and
-    symmetric, and the edge support. ``_trusted`` skips those checks and is
+    symmetric, and the edge support; the instance is frozen, so no field
+    can be reassigned after the checks. ``_trusted`` skips those checks and is
     only for code that makes the invariants true itself: ``_place``, the
     body of ``encode`` (finite symmetric inputs, masked by the support), and
     ``scale_to_ranges`` (a checked matrix divided by one positive scalar).
@@ -104,7 +109,7 @@ class WeightMatrix:
         off_support = (self.graph.adjacency_mask == 0) & (theta != 0.0)
         if off_support.any():
             raise ValueError("weight matrix has couplings outside the edge set")
-        self.theta = theta
+        object.__setattr__(self, "theta", theta)
 
     @classmethod
     def _trusted(
@@ -112,9 +117,9 @@ class WeightMatrix:
     ) -> "WeightMatrix":
         """Wrap a float64 ``theta`` that already meets every invariant, unchecked."""
         out = cls.__new__(cls)
-        out.theta = theta
-        out.graph = graph
-        out.placement = placement
+        object.__setattr__(out, "theta", theta)
+        object.__setattr__(out, "graph", graph)
+        object.__setattr__(out, "placement", placement)
         return out
 
     @property

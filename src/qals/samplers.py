@@ -73,26 +73,12 @@ def _spin_table(l: int) -> np.ndarray:
     """Read-only float spin rows of all 2^l states, in lexicographic order.
 
     Cached because it depends on ``l`` alone and building it is a large
-    share of the fixed cost of a small enumeration. With ``_spin_columns``,
-    its transpose, ``l <= ENUMERATION_LIMIT - ENUMERATION_LIMIT // 2`` keeps
-    the two caches under 1.5 MB together.
+    share of the fixed cost of a small enumeration; ``l <= ENUMERATION_LIMIT
+    - ENUMERATION_LIMIT // 2`` keeps the cache under 1 MB.
     """
     table = spins_at(l, np.arange(1 << l)).astype(np.float64)
     table.flags.writeable = False
     return table
-
-
-@functools.cache
-def _spin_columns(l: int) -> np.ndarray:
-    """``_spin_table(l).T`` as a read-only C-contiguous copy.
-
-    The enumeration block product takes this rather than the transposed
-    (F-ordered) view: the values and the result are the same, but with two
-    BLAS threads the view's product at l = 8 took about ten times as long.
-    """
-    columns = np.ascontiguousarray(_spin_table(l).T)
-    columns.flags.writeable = False
-    return columns
 
 
 def _halves(n: int) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -107,48 +93,56 @@ def _halves(n: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     return h, l, z_low[: 1 << h, l - h :], z_low
 
 
-def enumerate_minima(weights: np.ndarray) -> np.ndarray:
-    """Every minimum-energy state of a raw weight array, by a split-bits table.
+def _table_blocks(weights: np.ndarray):
+    """Yield the split-bits energy table of a raw weight array as ``(first index, energies)``.
 
     With the spins split by ``_halves`` into H and L, the energy of state
-    ``a * 2**l + b`` is ``E_H[a] + E_L[b] + (Z_H C Z_L^T)[a, b]``. ``E_H``
+    ``a * 2**l + b`` is ``((Z_H C Z_L^T)[a, b] + E_L[b]) + E_H[a]``. ``E_H``
     and ``E_L`` are ``energies`` of the two diagonal blocks of the weights,
     and ``C = weights[:h, h:]``, the H-L couplings, lies wholly above the
-    diagonal. The table is built over blocks of rows of H holding
-    2**_BLOCK_BITS states, at about ``n / 2`` flops per state.
+    diagonal. A block is rows of H holding 2**_BLOCK_BITS states (at least
+    one row), and it is one product ``[Z_H C | 1 | E_H] @ [Z_L^T; E_L; 1]``
+    of about ``n / 2`` flops per state. Every term of that product is
+    exact, a weight sum times a spin or 1, so a product that sums in index
+    order (OpenBLAS's matrix product does; a one-row block's vector product
+    need not) has the bits of that three-step sum.
+    """
+    h, l, z_high, z_low = _halves(weights.shape[0])
+    # C order: with two BLAS threads, a product on the F-ordered z_low.T took ten times as long
+    high, low = np.empty((1 << h, l + 2)), np.empty((l + 2, 1 << l))
+    high[:, :l] = z_high @ weights[:h, h:]
+    high[:, l], high[:, l + 1] = 1.0, energies(weights[:h, :h], z_high)
+    low[:l], low[l], low[l + 1] = z_low.T, energies(weights[h:, h:], z_low), 1.0
+    rows = max(1, (1 << _BLOCK_BITS) >> l)
+    for row in range(0, 1 << h, rows):
+        yield row << l, (high[row : row + rows] @ low).ravel()
+
+
+def enumerate_minima(weights: np.ndarray) -> np.ndarray:
+    """Every minimum-energy state of a raw weight array, by ``_table_blocks``.
 
     Tie rule: a state is a minimizer when its table energy is within
     ``slack = 4 (n + 2) eps sum|weights|`` of the table minimum. The slack
-    bounds the summation-order error of the table and of ``energies`` and
-    scales with the weights, so positive rescaling keeps the set. Returns
-    the lexicographic int64 indices of the minimizers in increasing order
-    and nothing else. Memory is the spin table of L and its transpose, one
-    block, and 16 bytes per state within the slack of the running minimum.
+    bounds the summation-order error of the table and of ``energies``, on
+    any BLAS, and scales with the weights, so positive rescaling keeps the
+    set. Returns the lexicographic int64 indices of the minimizers in
+    increasing order and nothing else. Memory is the spin table of L, the
+    two block operands (n/2 + 2 floats per state of a half), one block,
+    and 16 bytes per state within the slack of the running minimum.
     Raises ``ValueError`` when ``sum|weights|`` exceeds the limit for finite
     energies (``core._weight_sum``), as NaN and inf do; callers enforce ``ENUMERATION_LIMIT``.
     """
-    n = weights.shape[0]
     total = _weight_sum(weights, "sum|weights|")
-    h, l, z_high, z_low = _halves(n)
-    z_low_t = _spin_columns(l)
-    e_low = energies(weights[h:, h:], z_low)
-    e_high = energies(weights[:h, :h], z_high)
-    cross = z_high @ weights[:h, h:]
-    slack = 4 * (n + 2) * np.finfo(np.float64).eps * total
-    rows = max(1, (1 << _BLOCK_BITS) >> l)
+    slack = 4 * (weights.shape[0] + 2) * np.finfo(np.float64).eps * total
     best = np.inf
     found = []  # (indices, table energies) within the slack of the running minimum
-    for row in range(0, 1 << h, rows):
-        t = cross[row : row + rows] @ z_low_t
-        t += e_low
-        t += e_high[row : row + rows, None]
-        t = t.ravel()
+    for first, t in _table_blocks(weights):
         block_min = t.min()
         if block_min < best:
             best = block_min
             found = [(i[e <= best + slack], e[e <= best + slack]) for i, e in found]
         keep = np.flatnonzero(t <= best + slack)
-        found.append(((row << l) + keep, t[keep]))
+        found.append((first + keep, t[keep]))
     return np.concatenate([i for i, _ in found])
 
 
@@ -199,13 +193,15 @@ class ExactSampler:
         qubit-order indices), then sorted, and the draw is one
         ``rng.integers(0, count, size=k)`` call. So the result is a function
         of the pulled-back weights, sigma and the rng alone, and always a
-        fresh, writable ``(k, n)`` array. The last pulled-back weights, their
-        minimizer indices and, for a one-state set, its n logical spins are
-        cached: a call with equal pulled-back weights (on a complete graph,
-        the same coefficients under any placement) reuses them. A call holds
-        what ``enumerate_minima`` holds, then 16 bytes per minimizer to map
-        them; between calls it keeps 8 bytes per minimizer plus n bytes for
-        a one-state set.
+        fresh, writable ``(k, n)`` array. The bytes of the last pulled-back
+        weights, their minimizer indices and, for a one-state set, its n
+        logical spins are cached: a call whose pulled-back weights have the
+        same bytes (on a complete graph, the same coefficients under any
+        placement) reuses them. Weights that differ only in the sign of a
+        zero re-enumerate, to the same rows. A call holds what
+        ``enumerate_minima`` holds, then 16 bytes per minimizer to map them;
+        between calls it keeps 8 n**2 bytes of weights, 8 bytes per minimizer
+        and n bytes for a one-state set.
         """
         _check_enumerable(theta.n)
         if k < 1:
@@ -213,11 +209,12 @@ class ExactSampler:
         n = theta.n
         sigma = np.arange(n) if theta.placement is None else theta.placement
         logical = theta.theta.take(sigma, 0).take(sigma, 1)
+        key = logical.tobytes()  # 8 n**2 bytes: equal keys have equal n
         last = self._last
-        if last is None or last[0].shape != logical.shape or not (last[0] == logical).all():
+        if last is None or last[0] != key:
             found = enumerate_minima(logical)
             single = spins_at(n, found)[0] if found.size == 1 else None
-            last = self._last = (logical, found, single)
+            last = self._last = (key, found, single)
         _, found, single = last
         if single is not None:
             row = np.empty(n, dtype=SPIN_DTYPE)
@@ -418,7 +415,11 @@ def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:
         raise SampleShapeError(
             f"backend returned shape {samples.shape}, expected ({k}, {n})"
         )
-    if not (np.abs(samples) == 1).all():
+    if samples.dtype == SPIN_DTYPE:  # -1 and +1 are the bytes ff and 01
+        valid = not samples.tobytes().translate(None, b"\x01\xff")
+    else:  # converting first could wrap another value onto -1 or +1
+        valid = (np.abs(samples) == 1).all()
+    if not valid:
         raise SampleShapeError("backend returned entries other than -1/+1")
     return samples.astype(SPIN_DTYPE)
 

@@ -1,5 +1,6 @@
 """Core algebra: objectives, energies, tabu matrices, encodings."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -124,6 +125,12 @@ def test_weight_matrix_keeps_a_read_only_copy():
     np.testing.assert_array_equal(theta.theta, np.eye(2))
     with pytest.raises(ValueError, match="read-only"):
         theta.theta[0, 1] = 9.0
+    placed = encode(np.eye(2), np.array([1, 0]), complete_graph(2))
+    for w in (theta, placed):  # frozen: no field is reassigned past the checks
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.theta = np.array([[np.nan, 1.0], [2.0, 0.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.placement = None
 
 
 def test_energy_rejects_a_spin_vector_of_the_wrong_length():

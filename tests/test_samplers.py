@@ -24,6 +24,7 @@ from qals import (
     exact_minimizers,
     scale_to_ranges,
 )
+from qals.core import energies
 
 TOY = np.array([[1.0, -1.0], [-1.0, -1.0]])  # E(z) = z1 - z2 - z1 z2
 
@@ -299,13 +300,24 @@ def test_reused_exact_sampler_matches_a_fresh_one_per_call(monkeypatch):
     assert warm._last[1].dtype == np.int64  # indices, not spin rows, are kept between calls
 
 
-def test_enumeration_operand_is_a_read_only_contiguous_transpose():
-    import qals.samplers as sam
-
-    for l in (1, 8, 12):
-        columns = sam._spin_columns(l)
-        assert columns.flags.c_contiguous and not columns.flags.writeable
-        np.testing.assert_array_equal(columns, sam._spin_table(l).T)
+@pytest.mark.parametrize("n", [2, 5, 9, 16])
+def test_table_blocks_have_the_bits_of_the_three_step_sum(n, monkeypatch):
+    # every term of the folded block product is exact, so summed in index order it
+    # gives (cross @ Z_L^T + E_L) + E_H bit for bit; blocks of two rows keep a matrix product
+    w = coefficients("float", n, np.random.default_rng(n))
+    h, l, z_high, z_low = sam._halves(n)
+    table = (z_high @ w[:h, h:]) @ np.ascontiguousarray(z_low.T)
+    table += energies(w[h:, h:], z_low)
+    table += energies(w[:h, :h], z_high)[:, None]
+    table = table.ravel()
+    slack = 4 * (n + 2) * np.finfo(np.float64).eps * np.abs(w).sum()
+    expected = np.flatnonzero(table <= table.min() + slack)
+    for bits in (sam._BLOCK_BITS, l + 1):  # one block, then blocks of two rows
+        monkeypatch.setattr(sam, "_BLOCK_BITS", bits)
+        blocks = list(sam._table_blocks(w))
+        assert [first for first, _ in blocks] == list(range(0, 1 << n, blocks[0][1].size))
+        assert np.concatenate([t for _, t in blocks]).tobytes() == table.tobytes()
+        np.testing.assert_array_equal(sam.enumerate_minima(w), expected)
 
 
 def test_exact_sample_draws_only_from_a_set_of_several():
@@ -354,6 +366,14 @@ def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, m
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state, (n, kind, step)
             if kind == "float":  # a unique minimizer: the hits took the one-state path
                 assert warm._last[1].size == 1 and warm._last[2].dtype == np.int8
+            if kind == "zero":  # equal weights but for the sign of a zero: the same rows
+                signed = c.copy()
+                signed[0, 0] = -0.0
+                w = encode(signed, sigma.copy(), graph)
+                got_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+                rows = warm.sample(w, 7, got_rng)
+                np.testing.assert_array_equal(rows, ExactSampler().sample(w, 7, ref_rng))
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state, n
 
 
 def test_exact_sampler_alternating_set_sizes_matches_fresh_samplers():
@@ -821,11 +841,18 @@ def test_sampler_contract_shape_enforced():
         estimate_argmin(Broken(), w, 2, np.random.default_rng(0))
 
     class NotSpins:
-        def sample(self, theta, k, rng):
-            return np.zeros((k, theta.n), dtype=np.int8)
+        def __init__(self, bad):
+            self.bad = bad
 
-    with pytest.raises(SampleShapeError, match=r"entries other than -1/\+1"):
-        estimate_argmin(NotSpins(), w, 2, np.random.default_rng(0))
+        def sample(self, theta, k, rng):
+            rows = np.ones((k, theta.n), dtype=self.bad.dtype)
+            rows[-1, 0] = self.bad
+            return rows
+
+    # as int8, uint8 255 and int16 257 would wrap onto -1 and +1
+    for bad in (np.int8(0), np.int8(2), np.int8(-128), np.uint8(255), np.int16(257)):
+        with pytest.raises(SampleShapeError, match=r"entries other than -1/\+1"):
+            estimate_argmin(NotSpins(bad), w, 2, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ range scaling

@@ -1,8 +1,10 @@
 """The learning-search loop and its helper operations."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -484,6 +486,17 @@ def test_problem_q_cannot_change_after_construction():
     assert brute_force_min(problem)[1] == brute_force(problem)[1] == -10.0
     report = solve(problem, complete_graph(2), ExactSampler(), QalsParams(i_max=5))
     assert report.f_best == -10.0
+
+
+@pytest.mark.parametrize(
+    "rebuild", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+)
+def test_copies_of_a_problem_keep_q_read_only(rebuild):
+    problem = QuboProblem(np.array([[0.0, 5.0], [5.0, 0.0]]))
+    twin = rebuild(problem)
+    np.testing.assert_array_equal(twin.q, problem.q)
+    with pytest.raises(ValueError, match="read-only"):
+        twin.q[0, 1] = np.nan
 
 
 @pytest.mark.parametrize(
