@@ -40,8 +40,9 @@ def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
 
 
-def _checked_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
-    """A read-only float64 copy of ``a``, checked to be square, finite and exactly symmetric.
+def _checked_symmetric(a, name: str, total: str, n: int | None = None) -> np.ndarray:
+    """A read-only float64 copy of ``a``, checked to be square, finite, exactly
+    symmetric and within the weight bound (``_weight_sum``, naming the sum ``total``).
 
     The shape must be (n, n) when ``n`` is given, else (m, m) for any m >= 1.
     """
@@ -54,6 +55,7 @@ def _checked_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if not (a == a.T).all():
         raise ValueError(f"{name} must be symmetric")
+    _weight_sum(a, total)
     a.flags.writeable = False
     return a
 
@@ -62,14 +64,16 @@ def _checked_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
 class QuboProblem:
     """A QUBO instance: minimize z^T Q z over z in {-1,+1}^n, Q symmetric.
 
-    ``q`` is a read-only copy, checked once, here: no later write can change it.
-    Copies and pickles are rebuilt through the constructor, so theirs is too.
+    ``q`` is a read-only copy, checked once, here, with ``sum|Q| <=
+    _WEIGHT_SUM_LIMIT``: no later write can change it, and no objective
+    value can overflow. Copies and pickles are rebuilt through the
+    constructor, so theirs is too.
     """
 
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _checked_symmetric(self.q, "Q"))
+        object.__setattr__(self, "q", _checked_symmetric(self.q, "Q", "sum|Q|"))
 
     def __reduce__(self):
         return QuboProblem, (self.q,)
@@ -83,21 +87,22 @@ class QuboProblem:
 class WeightMatrix:
     """Annealer weights: diagonal entries are biases, off-diagonal couplings.
 
-    Off-diagonal entries must vanish outside the support graph's edge set,
-    that is wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
-    The public constructor is the boundary: it keeps a read-only copy of
-    ``theta`` and checks its shape, that the entries are finite and
-    symmetric, and the edge support; the instance is frozen, so no field
-    can be reassigned after the checks. ``_trusted`` skips those checks and is
-    only for code that makes the invariants true itself: ``_place``, the
-    body of ``encode`` (finite symmetric inputs, masked by the support), and
-    ``scale_to_ranges`` (a checked matrix divided by one positive scalar).
+    Invariant of every instance, which is frozen: ``theta`` is a read-only,
+    finite, exactly symmetric float64 (n, n) array with ``sum|theta| <=
+    _WEIGHT_SUM_LIMIT`` (so no energy is inf or NaN), and its couplings
+    vanish wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
+    The public constructor checks it on a read-only copy of ``theta``.
+    ``_trusted`` skips the checks and marks ``theta`` read-only; it is only
+    for code that makes the invariant true itself: ``_place``,
+    ``scale_to_ranges`` (which checks its own sum) and ``__reduce__``, so
+    copies and pickles stay read-only.
 
     ``placement`` is the sigma these weights were encoded under (qubit
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
-    Only ``_place`` sets it, and ``scale_to_ranges`` carries it over; the
-    public constructor always leaves it None. ``ExactSampler`` reads it to
-    recognise a landscape it has already enumerated under another placement.
+    Only ``_place`` sets it, and ``scale_to_ranges`` and copies carry it
+    over; the public constructor always leaves it None. ``ExactSampler``
+    reads it to recognise a landscape it has already enumerated under
+    another placement.
     """
 
     theta: np.ndarray
@@ -105,17 +110,21 @@ class WeightMatrix:
     placement: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        theta = _checked_symmetric(self.theta, "weight matrix", self.graph.n)
+        theta = _checked_symmetric(self.theta, "weight matrix", "sum|weights|", self.graph.n)
         off_support = (self.graph.adjacency_mask == 0) & (theta != 0.0)
         if off_support.any():
             raise ValueError("weight matrix has couplings outside the edge set")
         object.__setattr__(self, "theta", theta)
 
+    def __reduce__(self):
+        return WeightMatrix._trusted, (self.theta, self.graph, self.placement)
+
     @classmethod
     def _trusted(
         cls, theta: np.ndarray, graph: TopologyGraph, placement: np.ndarray | None = None
     ) -> "WeightMatrix":
-        """Wrap a float64 ``theta`` that already meets every invariant, unchecked."""
+        """Wrap a float64 ``theta`` that already meets the invariant, unchecked, read-only."""
+        theta.setflags(write=False)  # once per iteration: cheaper than flags.writeable
         out = cls.__new__(cls)
         object.__setattr__(out, "theta", theta)
         object.__setattr__(out, "graph", graph)
@@ -131,34 +140,50 @@ class WeightMatrix:
         return np.diagonal(self.theta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TabuMatrix:
     """Integer symmetric matrix accumulating penalties for rejected candidates.
 
     ``m`` counts accumulated candidates; every entry has absolute value at
     most ``m`` and the same parity as ``m``. The public constructor checks
-    that ``s`` is square and symmetric; ``_trusted`` skips the check and is
-    only for ``tabu_update``, whose result is the sum of two symmetric
-    int64 matrices.
+    all of that (``m`` a non-negative integer, ``s`` a square, symmetric
+    array of an integer dtype) and keeps a read-only int64 copy of ``s``;
+    copies and pickles are rebuilt through it. ``_trusted`` skips the check
+    and is only for ``tabu_update``, whose result is the sum of a tabu
+    matrix and one more candidate's term.
     """
 
     s: np.ndarray
     m: int = 0
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int64)
+        m = _integer(self.m, "tabu count m")
+        if m < 0:
+            raise ValueError("tabu count m must be non-negative")
+        s = np.asarray(self.s)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("tabu matrix must be square")
+        if s.dtype.kind not in "iu":  # a float would be truncated, a boolean read as 0 and 1
+            raise ValueError(f"tabu matrix entries must be integers, got dtype {s.dtype}")
         if not np.array_equal(s, s.T):
             raise ValueError("tabu matrix must be symmetric")
-        self.s = s
+        if not (((-m <= s) & (s <= m)).all() and (s % 2 == m % 2).all()):
+            raise ValueError(f"tabu matrix entries must lie in [-m, m] with the parity of m = {m}")
+        s = s.astype(np.int64)
+        s.flags.writeable = False
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "m", m)
+
+    def __reduce__(self):
+        return TabuMatrix, (self.s, self.m)
 
     @classmethod
     def _trusted(cls, s: np.ndarray, m: int) -> "TabuMatrix":
-        """Wrap a symmetric int64 ``s`` without checking it."""
+        """Wrap a symmetric int64 ``s`` that meets the invariant for ``m``, unchecked, read-only."""
+        s.setflags(write=False)
         out = cls.__new__(cls)
-        out.s = s
-        out.m = m
+        object.__setattr__(out, "s", s)
+        object.__setattr__(out, "m", m)
         return out
 
     @property
@@ -170,11 +195,12 @@ class TabuMatrix:
         return cls(np.zeros((n, n), dtype=np.int64), m=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QalsParams:
-    """Tunable knobs of the learning search loop.
+    """Tunable knobs of the learning search loop, checked once, here.
 
-    Defaults are desk-scale choices; see README for their calibration.
+    Defaults are desk-scale choices; see README for their calibration. The
+    instance is frozen: ``dataclasses.replace`` makes a checked variant.
     """
 
     p_delta: float = 0.1
@@ -200,7 +226,7 @@ class QalsParams:
         if not 0.0 < self.lambda0 < math.inf:
             raise ValueError("lambda0 must be positive and finite")
         for name in ("N", "k", "i_max", "N_max", "d_min", "seed"):
-            setattr(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("N", "k", "i_max", "N_max", "d_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -312,7 +338,8 @@ def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
 
     ``z`` is checked. The result is built unchecked: ``s.s`` is symmetric
     int64 by ``TabuMatrix``'s invariant and the added term is too, so their
-    sum is exactly symmetric.
+    sum is exactly symmetric, and every entry of the term is -1 or +1, so
+    each sum lies in [-(m + 1), m + 1] with the parity of m + 1.
     """
     z = as_spins(z)
     if z.size != s.n:
@@ -331,12 +358,13 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     derives from its edges (its unit diagonal keeps every bias).
 
     This is the checked boundary: ``qprime`` must be (n, n), finite and
-    symmetric (off-edge entries included) and ``sigma`` a permutation of the
-    nodes. The result records ``sigma`` (the checked array itself, not a
-    copy) as its ``placement``.
+    symmetric (off-edge entries included), with ``sum|qprime|`` within the
+    weight bound, and ``sigma`` a permutation of the nodes. The result
+    records ``sigma`` (the checked array itself, not a copy) as its
+    ``placement``.
     """
     n = graph.n
-    qprime = _checked_symmetric(qprime, "coefficient matrix", n)
+    qprime = _checked_symmetric(qprime, "coefficient matrix", "sum|coefficients|", n)
     sigma = np.asarray(sigma)
     if sigma.size != n or not is_permutation(sigma):
         raise ValueError("sigma is not a permutation of the graph's nodes")
@@ -346,12 +374,14 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
 def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> WeightMatrix:
     """``encode`` without its checks, for callers whose inputs already hold them.
 
-    ``qprime`` must be a finite, exactly symmetric (n, n) array and ``sigma``
-    an integer permutation of the n nodes. The result is built without
+    ``qprime`` must be a finite, exactly symmetric (n, n) array with
+    ``sum|qprime| <= _WEIGHT_SUM_LIMIT``, and ``sigma`` an integer
+    permutation of the n nodes. The result is built without
     ``WeightMatrix``'s checks, because they hold by construction: placing a
-    symmetric matrix under a permutation keeps it symmetric and finite, and
-    the multiply by the mask zeroes every coupling outside the edge set,
-    because the mask is 1 off the diagonal exactly on the edges.
+    symmetric matrix under a permutation keeps it symmetric and finite and
+    its sum, and the multiply by the mask zeroes every coupling outside the
+    edge set (the mask is 1 off the diagonal exactly on the edges), which
+    can only shrink the sum.
     """
     n = graph.n
     theta = np.empty((n, n), dtype=np.float64)  # every entry is written below

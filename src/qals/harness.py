@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .core import QalsParams, QuboProblem, _weight_sum, objective
+from .core import _WEIGHT_SUM_LIMIT, QalsParams, QuboProblem, objective
 from .samplers import (
     ENUMERATION_LIMIT,
     ExactSampler,
@@ -28,8 +28,10 @@ def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     ``ExperimentSpec``; returns ``n`` as a Python int.
 
     ``n`` is an integer >= 1, ``density`` a real in [0, 1], and the range a
-    pair of reals ``lo < hi`` whose bounds and width ``hi - lo`` fit in a
-    float (a wider range cannot be sampled uniformly); else ``ValueError``.
+    pair of reals ``lo < hi`` with ``n**2 * max(|lo|, |hi|) <= _WEIGHT_SUM_LIMIT``,
+    so that every draw is a valid ``QuboProblem`` (and the bounds and width
+    ``hi - lo`` fit in a float, so the range can be sampled uniformly); else
+    ``ValueError``.
     """
     n = _integer(n, "n")
     if n < 1:
@@ -45,8 +47,13 @@ def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     _check_real(hi, "coefficient range bound")
     if not lo < hi:
         raise ValueError("coefficient range must be a nonempty interval")
-    if not max(abs(lo), abs(hi), hi - lo) <= sys.float_info.max:  # exact for integer bounds
-        raise ValueError(f"coefficient range {lo}:{hi} is wider than a float can hold")
+    widest = max(abs(lo), abs(hi))
+    # in rationals, so that neither a huge n nor a huge bound can overflow
+    if not (widest <= _WEIGHT_SUM_LIMIT and n * n * Fraction(float(widest)) <= _WEIGHT_SUM_LIMIT):
+        raise ValueError(
+            f"coefficient range {lo}:{hi} is too wide for n = {n}: n^2 * max(|lo|, |hi|) "
+            f"is above the limit {_WEIGHT_SUM_LIMIT:.3g} for finite energies"
+        )
     return n
 
 
@@ -77,21 +84,19 @@ def brute_force_min(problem: QuboProblem) -> tuple[np.ndarray, float]:
     comparisons against solver output see the same float path. Minimizers
     are ranked by ``enumerate_minima``'s split-bits table, so a state within
     its rounding slack of the minimum counts as tied and the first one wins.
-    Raises ``ValueError`` above ``ENUMERATION_LIMIT`` variables, and when
-    ``sum|Q|`` exceeds the limit for finite energies (``core._weight_sum``).
+    Raises ``ValueError`` above ``ENUMERATION_LIMIT`` variables.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"brute force supports at most {ENUMERATION_LIMIT} variables, got {n}")
-    _weight_sum(problem.q, "sum|Q|")
     # over spins z^T Q z = trace(Q) + 2 * (energy of the off-diagonal part)
     z = spins_at(n, enumerate_minima(problem.q - np.diag(np.diagonal(problem.q)))[:1])[0]
     return z, objective(problem, z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """One replicated-benchmark configuration.
+    """One replicated-benchmark configuration, checked once, here, and frozen.
 
     A single random instance is generated from ``params.seed``; replica r
     then solves it with seed ``params.seed + r``. The instance arguments
@@ -107,10 +112,10 @@ class ExperimentSpec:
     params: QalsParams = field(default_factory=QalsParams)
 
     def __post_init__(self):
-        self.n = check_instance_args(self.n, self.density, self.coeff_range)
+        object.__setattr__(self, "n", check_instance_args(self.n, self.density, self.coeff_range))
         if self.backend == "exact":
             _check_enumerable(self.n, ValueError)
-        self.replicas = _integer(self.replicas, "replicas")
+        object.__setattr__(self, "replicas", _integer(self.replicas, "replicas"))
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
 

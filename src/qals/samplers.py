@@ -11,12 +11,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Protocol
 
 import numpy as np
 import requests
 
-from .core import SPIN_DTYPE, WeightMatrix, _weight_sum, energies, energy
+from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _weight_sum, energies, energy
 from .topology import _integer
 
 ENUMERATION_LIMIT = 24
@@ -161,8 +162,7 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     order, and the minimum energy scored as ``energy(theta, minimizers[0])``.
     A state is a minimizer when it is within ``enumerate_minima``'s rounding
     slack of the minimum, so exactly tied states are never split by
-    summation order. Only valid up to the enumeration limit, and only for
-    weights within ``enumerate_minima``'s limit (``ValueError`` otherwise).
+    summation order. Only valid up to the enumeration limit.
     """
     _check_enumerable(theta.n)
     minimizers = spins_at(theta.n, enumerate_minima(theta.theta))
@@ -185,13 +185,12 @@ class ExactSampler:
         The weights are pulled back to the logical frame,
         ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
         (the identity when None), and enumerated by ``enumerate_minima``
-        (ties within its rounding slack; too large weights raise its
-        ``ValueError``). A one-state set is placed directly, ``row[sigma] =
-        spins``, and returned as k copies without drawing from the rng. A
-        larger set has its logical indices mapped to qubit order through
-        the enumerator's own layout, ``_halves`` (tables of 2**h and 2**l
-        qubit-order indices), then sorted, and the draw is one
-        ``rng.integers(0, count, size=k)`` call. So the result is a function
+        (ties within its rounding slack). A one-state set is placed
+        directly, ``row[sigma] = spins``, and returned as k copies without
+        drawing from the rng. A larger set has its logical indices mapped
+        to qubit order through the enumerator's own layout, ``_halves``
+        (tables of 2**h and 2**l qubit-order indices), then sorted, and the
+        draw is one ``rng.integers(0, count, size=k)`` call. So the result is a function
         of the pulled-back weights, sigma and the rng alone, and always a
         fresh, writable ``(k, n)`` array. The bytes of the last pulled-back
         weights, their minimizer indices and, for a one-state set, its n
@@ -246,9 +245,7 @@ def _beta_for(log_odds: float, gap: float) -> float:
 def _auto_beta_range(theta: np.ndarray) -> tuple[float, float]:
     """The beta ramp's endpoints: hot enough to accept the worst single-spin
     move about half the time, cold enough to freeze the smallest nonzero
-    single-spin gap. Raises ``ValueError`` when ``sum|weights|`` exceeds the
-    limit for finite energies (``core._weight_sum``)."""
-    _weight_sum(theta, "sum|weights|")
+    single-spin gap."""
     magnitudes = np.abs(theta)
     biases = np.diagonal(magnitudes)
     couplings = magnitudes - np.diag(biases)
@@ -386,7 +383,9 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     The bounds are checked; the result is built without ``WeightMatrix``'s
     checks, because dividing a checked matrix by one positive scalar and
     clipping it entrywise keeps it symmetric and zero off the edge set, and
-    every entry ends finite and within its bound.
+    every entry ends finite and within its bound. Only the weight bound can
+    break, as the ranges may be as wide as the largest float, so the result
+    is checked against it (``ValueError``, ``sum|weights| is ...``).
     """
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
         raise ValueError("range bounds must be positive and finite")
@@ -406,6 +405,7 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     biases = np.clip(np.diagonal(scaled), -delta, delta)
     np.clip(scaled, -gamma, gamma, out=scaled)
     np.fill_diagonal(scaled, biases)
+    _weight_sum(scaled, "sum|weights|")
     return WeightMatrix._trusted(scaled, theta.graph, theta.placement)
 
 
@@ -502,6 +502,16 @@ class RemoteSampler:
                 f"bad info payload: max_nodes must be an integer, got {max_nodes!r}"
             )
         info["max_nodes"] = int(max_nodes)
+        # the largest sum|weights| the ranges admit on max_nodes nodes, exact in rationals:
+        # delta on each of the n diagonal entries, gamma on each of the n (n - 1) others
+        nodes = max(info["max_nodes"], 0)
+        widest = nodes * Fraction(info["delta"]) + nodes * (nodes - 1) * Fraction(info["gamma"])
+        if widest > _WEIGHT_SUM_LIMIT:
+            raise MalformedResponseError(
+                f"bad info payload: delta {info['delta']!r} and gamma {info['gamma']!r} admit "
+                f"weights on {nodes} nodes whose sum exceeds the limit {_WEIGHT_SUM_LIMIT:.3g} "
+                "for finite energies"
+            )
         return info
 
     def sample(self, theta: WeightMatrix, k: int, rng=None) -> np.ndarray:

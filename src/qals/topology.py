@@ -24,7 +24,7 @@ def _check_real(value, what: str) -> None:
         raise ValueError(f"{what} {value!r} is not a real number")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopologyGraph:
     """Undirected hardware graph on nodes ``0..n-1``, stored as its edge set.
 
@@ -34,6 +34,8 @@ class TopologyGraph:
     and ``edges``. ``adjacency_mask`` is derived once from the edges: a
     read-only float64 (n, n) array, 1 on every edge in both orientations and
     on the diagonal (so that encoding keeps linear bias terms), 0 elsewhere.
+    The instance is frozen, and copies and pickles are rebuilt through the
+    constructor, so no field or mask can change after the checks.
     """
 
     n: int
@@ -41,7 +43,7 @@ class TopologyGraph:
     adjacency_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.n = n = _integer(self.n, "node count")
+        n = _integer(self.n, "node count")
         if n < 1:
             raise ValueError("node count must be positive")
         edges = set()
@@ -57,13 +59,17 @@ class TopologyGraph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
             edges.add((i, j) if i < j else (j, i))
-        self.edges = frozenset(edges)
         mask = np.eye(n, dtype=np.float64)
         if edges:
             rows, cols = zip(*edges)
             mask[rows, cols] = mask[cols, rows] = 1.0
         mask.flags.writeable = False
-        self.adjacency_mask = mask
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "adjacency_mask", mask)
+
+    def __reduce__(self):
+        return TopologyGraph, (self.n, self.edges)
 
     @property
     def num_edges(self) -> int:

@@ -237,13 +237,14 @@ def test_bench_exact_above_the_enumeration_limit_exits_one_before_generating(
     assert captured.err.startswith("qals: error: exact enumeration supports at most 24 variables")
 
 
-@pytest.mark.parametrize("coeff_range", ["0:inf", "-1e308:1e308"])
+@pytest.mark.parametrize("coeff_range", ["0:inf", "-1e308:1e308", "-1e307:1e307"])
 def test_gen_range_too_wide_for_a_float_exits_one(capsys, coeff_range):
+    # 9 * 1e307 is a float, but above the weight bound a QuboProblem must meet
     assert main(["gen", "--n", "3", f"--range={coeff_range}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("qals: error: coefficient range")
-    assert "wider than a float can hold" in captured.err
+    assert "is too wide for n = 3: n^2 * max(|lo|, |hi|) is above the limit" in captured.err
 
 
 def test_bench_range_too_wide_for_a_float_exits_one(tmp_path, capsys):
@@ -279,7 +280,8 @@ def test_bench_oracle_on_weights_too_large_exits_one_before_any_replica(
     assert main(["bench", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("qals: error: sum|Q| is ")
+    # the range rule refuses every range whose draws could break the bound, before the oracle
+    assert captured.err.startswith("qals: error: coefficient range 0.0:1e+308 is too wide for n = 2")
 
 
 def test_gen_takes_its_instance_defaults_from_the_experiment_spec(capsys):

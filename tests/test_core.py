@@ -1,12 +1,16 @@
 """Core algebra: objectives, energies, tabu matrices, encodings."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from qals import (
+    ExperimentSpec,
     QalsParams,
     QuboProblem,
     TabuMatrix,
@@ -18,10 +22,11 @@ from qals import (
     encode,
     energy,
     objective,
+    scale_to_ranges,
     tabu_init,
     tabu_update,
 )
-from qals.core import _place, as_spins, is_permutation
+from qals.core import _WEIGHT_SUM_LIMIT, _place, as_spins, is_permutation
 
 from helpers import conjugate_tabu
 
@@ -133,6 +138,44 @@ def test_weight_matrix_keeps_a_read_only_copy():
             w.placement = None
 
 
+REBUILDS = pytest.mark.parametrize(
+    "rebuild", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+)
+
+
+@REBUILDS
+def test_weights_are_read_only_wherever_they_are_made(rebuild):
+    graph = complete_graph(3)
+    sigma = np.array([2, 0, 1])
+    public = WeightMatrix(np.eye(3), graph)
+    placed = encode(np.eye(3), sigma, graph)
+    made = [public, placed, scale_to_ranges(placed, 0.5, 0.5)]
+    for w in made + [rebuild(w) for w in made]:
+        with pytest.raises(ValueError, match="read-only"):
+            w.theta[0, 0] = np.nan
+    for w in made:
+        twin = rebuild(w)
+        np.testing.assert_array_equal(twin.theta, w.theta)
+        assert twin.graph == w.graph
+    assert rebuild(public).placement is None
+    for w in made[1:]:  # the placement a copy carries is the one the weights were encoded under
+        np.testing.assert_array_equal(rebuild(w).placement, sigma)
+
+
+def test_weights_and_problems_above_the_weight_bound_are_rejected():
+    big = [[1e308, 1e308], [1e308, 1e308]]
+    with pytest.raises(ValueError, match=re.escape("sum|Q| is inf, above the limit")):
+        QuboProblem(big)
+    with pytest.raises(ValueError, match=re.escape("sum|weights| is inf, above the limit")):
+        WeightMatrix(big, complete_graph(2))
+    with pytest.raises(ValueError, match=re.escape("sum|coefficients| is inf, above the limit")):
+        encode(big, np.arange(2), complete_graph(2))
+    # at the bound each is accepted, and its largest value is finite
+    quarter = np.full((2, 2), _WEIGHT_SUM_LIMIT / 4)
+    assert objective(QuboProblem(quarter), np.array([1, 1])) == _WEIGHT_SUM_LIMIT
+    assert energy(WeightMatrix(quarter, complete_graph(2)), np.array([1, 1])) == 0.75 * _WEIGHT_SUM_LIMIT
+
+
 def test_energy_rejects_a_spin_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="length 3, weights expect 2"):
         energy(weights(np.eye(2), complete_graph(2)), np.array([1, -1, 1]))
@@ -198,6 +241,62 @@ def test_tabu_update_rejects_a_spin_vector_of_the_wrong_length():
 def test_tabu_matrix_rejects_a_non_square_or_asymmetric_s(s, match):
     with pytest.raises(ValueError, match=match):
         TabuMatrix(s)
+
+
+@pytest.mark.parametrize(
+    "s, m, match",
+    [
+        ([[0.5, 0.0], [0.0, 0.0]], 1, "entries must be integers"),  # was truncated to zeros
+        (np.zeros((2, 2)), 0, "entries must be integers"),
+        (np.zeros((2, 2), dtype=bool), 0, "entries must be integers"),
+        ([[2, 0], [0, 0]], 0, r"must lie in \[-m, m\] with the parity of m = 0"),
+        ([[1, 0], [0, 1]], 1, "with the parity of m = 1"),
+        ([[0]], -3, "tabu count m must be non-negative"),
+        ([[0]], 2.0, "tabu count m 2.0 is not an integer"),
+        ([[0]], True, "tabu count m True is not an integer"),
+    ],
+)
+def test_tabu_matrix_checks_its_invariant(s, m, match):
+    with pytest.raises(ValueError, match=match):
+        TabuMatrix(s, m)
+
+
+@REBUILDS
+def test_tabu_matrix_keeps_a_read_only_copy(rebuild):
+    s = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+    tabu = TabuMatrix(s, np.int64(1))
+    s[0, 0] = 7
+    assert tabu.s.dtype == np.int64 and type(tabu.m) is int
+    for t in (tabu, rebuild(tabu), tabu_update(tabu, np.array([1, 1]))):
+        with pytest.raises(ValueError, match="read-only"):
+            t.s[0, 0] = 9
+    np.testing.assert_array_equal(rebuild(tabu).s, [[1, -1], [-1, -1]])
+    assert rebuild(tabu).m == 1
+
+
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (lambda: QalsParams(i_max=5), "eta", 5.0),  # solve then failed in accept_suboptimal
+        (lambda: complete_graph(3), "n", 5),  # a solve at n=5 failed inside _place
+        (lambda: TabuMatrix.zeros(2), "m", 3),
+        (lambda: ExperimentSpec(n=3), "n", 5),
+    ],
+    ids=["QalsParams", "TopologyGraph", "TabuMatrix", "ExperimentSpec"],
+)
+def test_checked_types_are_frozen(make, name, value):
+    obj = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, value)
+
+
+def test_replace_checks_a_frozen_variant():
+    params = QalsParams(i_max=5)
+    assert dataclasses.replace(params, seed=np.int64(3)).seed == 3
+    with pytest.raises(ValueError, match="eta must lie in"):
+        dataclasses.replace(params, eta=5.0)
+    with pytest.raises(ValueError, match="replicas must be at least 1"):
+        dataclasses.replace(ExperimentSpec(n=3), replicas=0)
 
 
 def test_tabu_recursion_equals_closed_form():

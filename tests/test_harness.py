@@ -255,17 +255,20 @@ BAD_INSTANCE_ARGS = [
     ((4, 0.5, (1.0, 1.0)), "nonempty interval"),
     ((4, 0.5, (2.0, -1.0)), "nonempty interval"),
     ((4, 0.5, (float("nan"), 1.0)), "nonempty interval"),
-    ((4, 0.5, (0.0, float("inf"))), "wider than a float can hold"),
-    ((4, 0.5, (-float("inf"), 0.0)), "wider than a float can hold"),
-    ((4, 0.5, (-1e308, 1e308)), "wider than a float can hold"),
-    ((3, 0.5, (0, 10**400)), "wider than a float can hold"),  # an integer width beyond a float
-    ((3, 0.5, (10**400, 10**400 + 1)), "wider than a float can hold"),  # bounds beyond a float
+    ((4, 0.5, (0.0, float("inf"))), "too wide for n = 4"),
+    ((4, 0.5, (-float("inf"), 0.0)), "too wide for n = 4"),
+    ((4, 0.5, (-1e308, 1e308)), "too wide for n = 4"),
+    ((3, 0.5, (0, 10**400)), "too wide for n = 3"),  # an integer width beyond a float
+    ((3, 0.5, (10**400, 10**400 + 1)), "too wide for n = 3"),  # bounds beyond a float
     ((4, "0.5", (-1.0, 1.0)), "density '0.5' is not a real number"),
     ((4, True, (-1.0, 1.0)), "density True is not a real number"),
     ((4, 0.5, ("a", "b")), "coefficient range bound 'a' is not a real number"),
     ((4, 0.5, (0.0, True)), "coefficient range bound True is not a real number"),
     ((4, 0.5, 1.0), "coefficient range 1.0 is not a pair of bounds"),
     ((4, 0.5, (0, 1, 2)), r"coefficient range \(0, 1, 2\) is not a pair of bounds"),
+    # a float, but the draws could sum above the bound: seed 0 drew sum|Q| = 2.08e307
+    ((3, 0.5, (-1e307, 1e307)), r"too wide for n = 3: n\^2 \* max\(\|lo\|, \|hi\|\)"),
+    ((10**200, 0.5, (0.0, 1.0)), "too wide for n = 1000"),  # n^2 beyond a float
 ]
 
 
@@ -280,10 +283,16 @@ def test_random_qubo_and_spec_reject_the_same_instance_args(args, message):
 
 
 def test_spec_accepts_what_random_qubo_accepts():
-    for density, coeff_range in ((0.0, (-1.0, 1.0)), (1.0, (0.5, 2.0)), (0.5, (-1e307, 1e307))):
+    import qals.core as core
+
+    # n^2 * max(|lo|, |hi|) = 9 / 16 of the limit: every draw is a valid QuboProblem
+    widest = core._WEIGHT_SUM_LIMIT / 16
+    for density, coeff_range in ((0.0, (-1.0, 1.0)), (1.0, (0.5, 2.0)), (1.0, (-widest, widest))):
         spec = ExperimentSpec(n=np.int64(3), density=density, coeff_range=coeff_range)
         assert type(spec.n) is int
         random_qubo(spec.n, density, coeff_range, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="too wide for n = 3"):
+        ExperimentSpec(n=3, coeff_range=(-2 * widest, 2 * widest))  # 9 / 8 of the limit
 
 
 def test_spec_rejects_the_exact_backend_above_the_enumeration_limit():

@@ -3,16 +3,24 @@
 ``encode``, ``scale_to_ranges`` and ``tabu_update`` build their results
 without ``WeightMatrix``'s or ``TabuMatrix``'s checks. Each property passes
 those results back through the public constructor, which must accept them.
-The instance file format round-trips every finite symmetric matrix exactly.
+Every weight matrix those makers accept, up to the weight bound, gives every
+local sampler finite energies and spin rows. The instance file format
+round-trips every matrix ``QuboProblem`` accepts exactly.
 """
 
+import sys
+import warnings
+
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qals import (
+    ExactSampler,
+    MetropolisSampler,
     QuboProblem,
+    RandomSampler,
     TabuMatrix,
     TopologyGraph,
     WeightMatrix,
@@ -20,9 +28,12 @@ from qals import (
     complete_graph,
     decode,
     encode,
+    energy,
+    estimate_argmin,
     scale_to_ranges,
     tabu_update,
 )
+from qals.core import _WEIGHT_SUM_LIMIT
 from qals.fileio import format_qubo_file, parse_qubo_file
 
 MAX_N = 10
@@ -30,21 +41,21 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
 
 
 @st.composite
-def edge_lists(draw):
+def edge_lists(draw, max_n=MAX_N):
     """A node count and a list of distinct-node pairs, with repeats and both orientations."""
-    n = draw(st.integers(1, MAX_N))
+    n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     return n, draw(st.lists(st.sampled_from(pairs))) if pairs else []
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, max_n=MAX_N):
     kind = draw(st.sampled_from(["complete", "chimera:1", "edges"]))
     if kind == "complete":
-        return complete_graph(draw(st.integers(1, MAX_N)))
+        return complete_graph(draw(st.integers(1, max_n)))
     if kind == "chimera:1":
         return chimera_graph(1)
-    return TopologyGraph(*draw(edge_lists()))
+    return TopologyGraph(*draw(edge_lists(max_n)))
 
 
 def symmetric(draw, n, elements=finite):
@@ -119,8 +130,38 @@ def test_tabu_update_folds_pass_the_public_checks(data):
 
 
 @given(st.data())
+def test_every_accepted_weight_matrix_gives_every_sampler_spin_rows(data):
+    graph = data.draw(graphs(max_n=8))  # the exact backend enumerates all 2**n states
+    n = graph.n
+    # entries of any magnitude up to the bound for n, or up to 16 times beyond it,
+    # which the makers must refuse wherever the sum breaks the bound
+    scale = data.draw(st.sampled_from([1.0, 1.0, 16.0])) * _WEIGHT_SUM_LIMIT / (n * n)
+    q = symmetric(data.draw, n, elements=st.floats(-1.0, 1.0)) * scale
+    sigma = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    maker = data.draw(st.sampled_from(["WeightMatrix", "encode", "scale_to_ranges"]))
+    try:
+        if maker == "WeightMatrix":
+            theta = WeightMatrix(q * graph.adjacency_mask, graph)
+        else:
+            theta = encode(q, sigma, graph)
+        if maker == "scale_to_ranges":
+            delta, gamma = (data.draw(st.floats(1e-300, sys.float_info.max)) for _ in range(2))
+            theta = scale_to_ranges(theta, delta, gamma)
+    except ValueError:  # a sum above the bound: only accepted matrices count
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sampler in (RandomSampler(), ExactSampler(), MetropolisSampler(sweeps=3)):
+            rows = sampler.sample(theta, 3, np.random.default_rng(0))
+            assert rows.shape == (3, n) and np.isin(rows, [-1, 1]).all()
+            best = estimate_argmin(sampler, theta, 3, np.random.default_rng(1))
+            assert np.isin(best, [-1, 1]).all() and np.isfinite(energy(theta, best))
+
+
+@given(st.data())
 def test_qubo_file_roundtrip_is_exact(data):
     n = data.draw(st.integers(1, MAX_N))
-    q = symmetric(data.draw, n, elements=st.floats(allow_nan=False, allow_infinity=False))
+    widest = _WEIGHT_SUM_LIMIT / (2 * n * n)  # every such Q is within the weight bound
+    q = symmetric(data.draw, n, elements=st.floats(-widest, widest))
     problem = QuboProblem(q)
     np.testing.assert_array_equal(parse_qubo_file(format_qubo_file(problem)).q, problem.q)

@@ -72,6 +72,8 @@ class _Service:
                     info["delta"] = "2.0"
                 elif service.mode == "boolean_gamma":
                     info["gamma"] = True
+                elif service.mode == "oversized_ranges":
+                    info["delta"] = info["gamma"] = 1e306  # 16 + 240 entries sum above the limit
                 elif service.mode == "overflowing_delta":
                     info["delta"] = 10**400  # a JSON integer beyond every float
                 self._send(200, info)
@@ -324,6 +326,12 @@ def test_ill_typed_info_rejected(mode):
             RemoteSampler(svc.url).info()
 
 
+def test_info_whose_ranges_break_the_weight_bound_rejected():
+    with _Service(mode="oversized_ranges") as svc:
+        with pytest.raises(MalformedResponseError, match="admit weights on 16 nodes"):
+            RemoteSampler(svc.url).info()
+
+
 def test_integral_float_max_nodes_accepted():
     with _Service(mode="integral_float_max_nodes") as svc:
         info = RemoteSampler(svc.url).info()
@@ -339,6 +347,7 @@ def test_integral_float_max_nodes_accepted():
         "string_energies",
         "string_delta",
         "boolean_gamma",
+        "oversized_ranges",
     ],
 )
 def test_invalid_payload_exits_two(mode, tmp_path):

@@ -4,8 +4,10 @@ Each case solves a fixed instance with ``record_trace=True`` and compares the
 sha256 of ``solve_report_to_json`` with a digest recorded when the case was
 added. A change to the loop, a sampler or the report format that alters a
 single byte of any report, or how any rng stream is consumed, fails here.
-Half of the cases use quarter-integer weights, whose energies and objective
-values are exact sums, so their bytes do not depend on summation order.
+Half of the cases use quarter-integer weights. Their objective values are
+exact sums, but the coefficients ``Q + lambda * S`` are not dyadic once
+``lambda = lambda0 / (2 + i - e)``, so even these runs can depend on summation
+order: the digests hold on one machine and BLAS kernel, not on every kernel.
 """
 
 import hashlib

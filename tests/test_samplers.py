@@ -164,11 +164,14 @@ def test_exact_minimizers_keep_ties_on_decimal_weights():
 
 
 def test_exact_backend_rejects_weights_too_large_for_finite_energies():
-    w = weights([[0.0, 1e308], [1e308, 0.0]], complete_graph(2))  # every state's energy is finite
-    with pytest.raises(ValueError, match="above the limit"):
-        exact_minimizers(w)
-    with pytest.raises(ValueError, match="above the limit"):
-        ExactSampler().sample(w, 3, np.random.default_rng(0))
+    # every state's energy is finite, but the doubled coupling sum is not: the
+    # WeightMatrix constructor refuses them, so no sampler is ever handed them,
+    # and the enumerator, which takes a raw array, keeps its own check
+    raw = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(ValueError, match=re.escape("sum|weights| is inf, above the limit")):
+        weights(raw, complete_graph(2))
+    with pytest.raises(ValueError, match=re.escape("sum|weights| is inf, above the limit")):
+        sam.enumerate_minima(raw)
 
 
 def test_enumeration_weight_bound_is_sum_of_absolute_weights():
@@ -696,10 +699,16 @@ def test_metropolis_stores_numpy_sweeps_as_int():
 
 
 def test_metropolis_rejects_weights_above_the_shared_bound():
-    # a 1e308 coupling made the derived ramp's hot end 0 and geomspace failed
-    w = WeightMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]), complete_graph(2))
+    # a 1e308 coupling made the derived ramp's hot end 0 and geomspace failed; the
+    # WeightMatrix constructor refuses such weights, and at the bound the ramp is finite
     with pytest.raises(ValueError, match=re.escape("sum|weights| is inf, above the limit")):
-        MetropolisSampler().sample(w, 2, np.random.default_rng(0))
+        WeightMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]), complete_graph(2))
+    half = sam._WEIGHT_SUM_LIMIT / 2
+    w = WeightMatrix(np.array([[0.0, half], [half, 0.0]]), complete_graph(2))
+    hot, cold = sam._auto_beta_range(w.theta)
+    assert 0.0 < hot <= cold and np.isfinite(cold)
+    rows = MetropolisSampler(sweeps=5).sample(w, 4, np.random.default_rng(0))
+    assert np.isin(rows, [-1, 1]).all()
 
 
 @pytest.mark.parametrize(
@@ -917,9 +926,9 @@ def test_scale_subnormal_weights_attain_the_bound(entry, bounds):
 @pytest.mark.parametrize(
     "entry, value, bounds",
     [
-        ((0, 0), 1e308, (1e-10, 1.0)),  # max / delta overflows
+        ((0, 0), 1e306, (1e-10, 1.0)),  # max / delta overflows
         ((0, 0), 2.3e-308, (1e300, 1.0)),  # ... and underflows
-        ((0, 1), 1e308, (1.0, 1e-10)),
+        ((0, 1), 1e306, (1.0, 1e-10)),
         ((0, 1), 2.3e-308, (1.0, 1e300)),
     ],
 )
@@ -931,13 +940,21 @@ def test_scale_attains_the_bound_when_the_factor_is_out_of_range(entry, value, b
 
 
 def test_scale_keeps_both_ranges_when_the_factor_is_out_of_range():
-    theta = np.array([[1e308, -1e300], [-1e300, 4.0]])
+    theta = np.array([[1e306, -1e300], [-1e300, 4.0]])
     for delta, gamma in ((1e-10, 1e-10), (1e-300, 1.0), (1e-10, 1e-310)):
         out = scale_to_ranges(weights(theta, complete_graph(2)), delta, gamma)
         biases, coupling = np.abs(out.biases), abs(out.theta[0, 1])
         assert biases.max() <= delta and coupling <= gamma
         assert biases.max() == delta or coupling == gamma
         assert out.theta[0, 1] == out.theta[1, 0] <= 0.0
+
+
+def test_scale_refuses_ranges_whose_weights_break_the_bound():
+    # every entry is sent to 1e306, and the 16 of them sum above the limit
+    with pytest.raises(ValueError, match=re.escape("sum|weights| is 1.6e+307, above the limit")):
+        scale_to_ranges(weights(np.ones((4, 4)), complete_graph(4)), 1e306, 1e306)
+    out = scale_to_ranges(weights(np.ones((3, 3)), complete_graph(3)), 1e306, 1e306)
+    assert np.abs(out.theta).sum() == 9e306
 
 
 def test_scale_never_sends_an_entry_beyond_its_bound():

@@ -1,5 +1,8 @@
 """Topology constructors and the edge-list file format."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,18 @@ def test_adjacency_mask_is_derived_and_read_only():
         g.adjacency_mask[0, 2] = 1.0
     with pytest.raises(TypeError):
         TopologyGraph(3, [(0, 1)], adjacency_mask=np.ones((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "rebuild", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))], ids=["deepcopy", "pickle"]
+)
+def test_copies_of_a_graph_keep_the_mask_read_only(rebuild):
+    g = TopologyGraph(3, [(0, 1)])
+    twin = rebuild(g)
+    assert twin == g
+    np.testing.assert_array_equal(twin.adjacency_mask, g.adjacency_mask)
+    with pytest.raises(ValueError, match="read-only"):
+        twin.adjacency_mask[0, 2] = 1.0
 
 
 def test_parse_edge_list_file_format():
