@@ -41,10 +41,13 @@ class MalformedResponseError(SamplerError):
 
 
 class SampleShapeError(SamplerError):
-    """A backend returned vectors of the wrong dimension."""
+    """A backend returned rows that break ``Sampler``'s row rule."""
 
 
 class Sampler(Protocol):
+    """Row rule, for every backend, remote included: ``sample`` returns a numeric array of
+    shape ``(k, n)`` with entries -1 and +1; other rows, ragged too, raise ``SampleShapeError``."""
+
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         ...
 
@@ -409,14 +412,18 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     return WeightMatrix._trusted(scaled, theta.graph, theta.placement)
 
 
-def _validate_samples(samples: np.ndarray, n: int, k: int) -> np.ndarray:
-    samples = np.asarray(samples)
+def _validate_samples(samples, n: int, k: int) -> np.ndarray:
+    """``Sampler``'s row rule, the one check of every backend's rows: int8 in their layout."""
+    try:
+        samples = np.asarray(samples)
+    except ValueError as exc:  # ragged rows
+        raise SampleShapeError(f"backend returned rows that form no array: {exc}") from exc
     if samples.shape != (k, n):
-        raise SampleShapeError(
-            f"backend returned shape {samples.shape}, expected ({k}, {n})"
-        )
+        raise SampleShapeError(f"backend returned shape {samples.shape}, expected ({k}, {n})")
     if samples.dtype == SPIN_DTYPE:  # -1 and +1 are the bytes ff and 01
         valid = not samples.tobytes().translate(None, b"\x01\xff")
+    elif samples.dtype.kind not in "iuf":  # bool, complex, str, object
+        raise SampleShapeError(f"backend returned {samples.dtype} entries, expected numbers")
     else:  # converting first could wrap another value onto -1 or +1
         valid = (np.abs(samples) == 1).all()
     if not valid:
@@ -429,13 +436,15 @@ def estimate_argmin(
 ) -> np.ndarray:
     """Draw k samples and keep the lowest-energy one.
 
-    All k samples are scored with one ``energies`` call; ties are decided by
-    exact float equality and the first tied row wins. The rule compares the
-    values of that one call only, which are a deterministic function of the
-    samples, so the pick is too; values from calls of other sizes could
-    differ in the last ulp and would not give a stable rule. When the k
-    rows are identical the first is returned unscored: every row has the
-    same spins, so the tie rule would pick the same state.
+    The rows must keep ``Sampler``'s row rule (numeric, ``(k, n)``, entries
+    -1 and +1), else ``SampleShapeError``. All k samples are scored with one
+    ``energies`` call; ties are decided by exact float equality and the
+    first tied row wins. The rule compares the values of that one call only,
+    which are a deterministic function of the samples, so the pick is too;
+    values from calls of other sizes could differ in the last ulp and would
+    not give a stable rule. When the k rows are identical the first is
+    returned unscored: every row has the same spins, so the tie rule would
+    pick the same state.
     """
     samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
     if samples.tobytes() == samples[0].tobytes() * k:  # int8; tobytes() is C order in any layout
@@ -450,7 +459,8 @@ class RemoteSampler:
     are rescaled client-side before each ``POST {endpoint}/sample``. Each
     sampler keeps one HTTP session, so a service that keeps connections
     alive answers every call on the same connection. No retries: transport
-    failures surface immediately.
+    failures surface immediately. Its own errors: transport ``TransportError``; bad status,
+    JSON, energies or ``/info`` (``max_nodes`` >= 1) ``MalformedResponseError``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
@@ -493,18 +503,14 @@ class RemoteSampler:
                 f"bad info payload: topology must be a string, got {info['topology']!r}"
             )
         max_nodes = info["max_nodes"]
-        # type(), not isinstance(): a JSON true must not pass as 1
-        if not (
-            type(max_nodes) is int
-            or (type(max_nodes) is float and max_nodes.is_integer())
-        ):
+        # type(), not isinstance(): a JSON true must not pass as 1; inf % 1 and NaN fail
+        if type(max_nodes) not in (int, float) or not (max_nodes >= 1 and max_nodes % 1 == 0):
             raise MalformedResponseError(
-                f"bad info payload: max_nodes must be an integer, got {max_nodes!r}"
+                f"bad info payload: max_nodes must be an integer of at least 1, got {max_nodes!r}"
             )
-        info["max_nodes"] = int(max_nodes)
+        nodes = info["max_nodes"] = int(max_nodes)
         # the largest sum|weights| the ranges admit on max_nodes nodes, exact in rationals:
         # delta on each of the n diagonal entries, gamma on each of the n (n - 1) others
-        nodes = max(info["max_nodes"], 0)
         widest = nodes * Fraction(info["delta"]) + nodes * (nodes - 1) * Fraction(info["gamma"])
         if widest > _WEIGHT_SUM_LIMIT:
             raise MalformedResponseError(
@@ -541,27 +547,14 @@ class RemoteSampler:
             raise MalformedResponseError(f"sample returned status {r.status_code}")
         try:
             payload = r.json()
-            samples = np.asarray(payload["samples"])
-            reported = payload["energies"]
+            samples, reported = payload["samples"], payload["energies"]
             if not isinstance(reported, list):
                 raise MalformedResponseError("service returned energies that are not a list")
             reported = [float(e) for e in reported]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"bad sample payload: {exc}") from exc
-        if samples.dtype.kind not in "iuf":
-            raise MalformedResponseError("service returned non-numeric samples")
         if not all(math.isfinite(e) for e in reported):
             raise MalformedResponseError("service returned non-finite energies")
-        if samples.ndim != 2 or samples.shape[1] != n:
-            raise SampleShapeError(
-                f"service returned vectors of length "
-                f"{samples.shape[1] if samples.ndim == 2 else '?'}, expected {n}"
-            )
-        if samples.shape[0] != k or len(reported) != samples.shape[0]:
-            raise MalformedResponseError(
-                f"service returned {samples.shape[0]} samples and "
-                f"{len(reported)} energies for {k} reads"
-            )
-        if not np.all(np.abs(samples) == 1):
-            raise MalformedResponseError("service returned entries other than -1/+1")
-        return samples.astype(SPIN_DTYPE)
+        if len(reported) != k:
+            raise MalformedResponseError(f"service returned {len(reported)} energies for {k} reads")
+        return _validate_samples(samples, n, k)

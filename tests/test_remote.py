@@ -64,6 +64,10 @@ class _Service:
                     info["max_nodes"] = 16.7
                 elif service.mode == "boolean_max_nodes":
                     info["max_nodes"] = True
+                elif service.mode == "zero_max_nodes":
+                    info["max_nodes"] = 0
+                elif service.mode == "negative_max_nodes":
+                    info["max_nodes"] = -5
                 elif service.mode == "integral_float_max_nodes":
                     info["max_nodes"] = 16.0
                 elif service.mode == "non_string_topology":
@@ -86,6 +90,8 @@ class _Service:
                 request = json.loads(self.rfile.read(length))
                 service.requests.append(request)
                 k = request["num_reads"]
+                if service.mode == "drop_sample":
+                    return  # no response: the server closes the connection
                 if service.mode == "short_rows":
                     self._send(200, {"samples": [[1, -1]] * k, "energies": [0.0] * k})
                 elif service.mode == "garbage":
@@ -230,6 +236,18 @@ def test_unreachable_endpoint():
         sampler.sample(toy_weights(), 1)
 
 
+def test_dropped_sample_connection_is_a_transport_error(tmp_path):
+    # the service answers /info, then closes the connection on POST /sample
+    path = tmp_path / "pair.qubo"
+    path.write_text("qubo 3\n0 1 1.0\n")
+    with _Service(mode="drop_sample") as svc:
+        sampler = RemoteSampler(svc.url)
+        assert sampler.info()["max_nodes"] == 16
+        with pytest.raises(TransportError, match="/sample"):
+            sampler.sample(toy_weights(), 1)
+        assert main(["solve", str(path), "--sampler", f"remote:{svc.url}"]) == 2
+
+
 @pytest.mark.parametrize("make", [ExactSampler, MetropolisSampler, RandomSampler, RemoteSampler])
 def test_sampler_contract(make):
     # every backend: (k, n) rows of -1/+1, and the same rows for the same rng state
@@ -292,12 +310,14 @@ def test_one_shot_helper():
 
 # json.dumps writes NaN and Infinity, which Python's json (and so requests)
 # reads back as floats: each mode is a payload that parses but is not valid.
+# Bad spins break the row rule every backend keeps; bad energies are the client's own check.
 @pytest.mark.parametrize(
     "mode", ["fractional_spin", "infinite_spin", "nan_energy", "string_energies", "string_spin"]
 )
 def test_invalid_sample_payload_rejected(mode):
+    error = SampleShapeError if mode.endswith("_spin") else MalformedResponseError
     with _Service(mode=mode) as svc:
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(error):
             RemoteSampler(svc.url).sample(toy_weights(), 2)
 
 
@@ -315,6 +335,8 @@ def test_non_finite_info_rejected(mode):
     [
         "fractional_max_nodes",
         "boolean_max_nodes",
+        "zero_max_nodes",
+        "negative_max_nodes",
         "non_string_topology",
         "string_delta",
         "boolean_gamma",

@@ -13,6 +13,8 @@ from qals import (
     CapacityError,
     ExactSampler,
     MetropolisSampler,
+    QalsParams,
+    QuboProblem,
     RandomSampler,
     TopologyGraph,
     WeightMatrix,
@@ -23,6 +25,7 @@ from qals import (
     estimate_argmin,
     exact_minimizers,
     scale_to_ranges,
+    solve,
 )
 from qals.core import energies
 
@@ -862,6 +865,34 @@ def test_sampler_contract_shape_enforced():
     for bad in (np.int8(0), np.int8(2), np.int8(-128), np.uint8(255), np.int16(257)):
         with pytest.raises(SampleShapeError, match=r"entries other than -1/\+1"):
             estimate_argmin(NotSpins(bad), w, 2, np.random.default_rng(0))
+
+    class Rows:
+        def __init__(self, make):
+            self.make = make
+
+        def sample(self, theta, k, rng):
+            return self.make(k, theta.n)
+
+    # rows that are not a numeric (k, n) array: every one is a SampleShapeError, in
+    # estimate_argmin and in solve, never a numpy error or a silent conversion to int8
+    def complex_rows(k, n):
+        rows = np.ones((k, n), dtype=complex)
+        rows[-1, 0] = 1j  # |1j| == 1, and as int8 it would be a 0 spin
+        return rows
+
+    makes = (
+        lambda k, n: [[1] * n] * (k - 1) + [[1] * (n + 1)],  # ragged
+        lambda k, n: [["1"] * n] * k,
+        lambda k, n: np.ones((k, n), dtype=object),
+        complex_rows,
+        lambda k, n: np.ones((k, n), dtype=bool),
+    )
+    problem = QuboProblem(TOY)
+    for make in makes:
+        with pytest.raises(SampleShapeError):
+            estimate_argmin(Rows(make), w, 2, np.random.default_rng(0))
+        with pytest.raises(SampleShapeError, match="during initialization"):
+            solve(problem, complete_graph(2), Rows(make), QalsParams(k=2, i_max=1, seed=0))
 
 
 # ------------------------------------------------------------ range scaling
