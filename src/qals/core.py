@@ -1,6 +1,6 @@
 """Domain types and exact algebra: objectives, energies, tabu matrices, encodings.
 
-Spin vectors are plain 1-D integer numpy arrays with entries in {-1, +1}.
+Spin vectors are 1-D int8 arrays with entries in {-1, +1}, checked by ``_checked_spins``.
 Permutations are 1-D integer arrays holding the image of each index:
 ``sigma[i]`` is the qubit that hosts logical variable ``i``.
 """
@@ -19,14 +19,34 @@ from .topology import TopologyGraph, _check_real, _integer
 SPIN_DTYPE = np.int8
 
 
-def as_spins(values) -> np.ndarray:
-    """Validate and return a spin vector (every entry -1 or +1)."""
-    z = np.asarray(values)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("spin vector must be a non-empty 1-D array")
-    if not np.all(np.abs(z) == 1):
-        raise ValueError("spin entries must be -1 or +1")
+def _checked_spins(values, shape=None, expects: str = "expected", error=ValueError) -> np.ndarray:
+    """The one spin rule, for every spin vector and sample the package takes in:
+    ``values`` must form a numeric (integer or float) array of exactly ``shape``
+    (None: a vector of its own length, at least 1) with entries -1 and +1,
+    returned as a new int8 array; else ``error``."""
+    what = "sample has" if shape and len(shape) == 2 else "spin vector has"
+    try:
+        z = np.asarray(values)
+    except ValueError as exc:  # ragged rows
+        raise error(f"{what} entries that form no array: {exc}") from exc
+    shape = shape or (max(z.size, 1),)
+    if z.shape != shape:
+        got = f"length {z.size}" if z.ndim == 1 else f"shape {z.shape}"
+        raise error(f"{what} {got}, {expects} {shape[0] if len(shape) == 1 else shape}")
+    if z.dtype == SPIN_DTYPE:  # -1 and +1 are the bytes ff and 01
+        valid = not z.tobytes().translate(None, b"\x01\xff")
+    elif z.dtype.kind not in "iuf":  # bool, complex, str, object
+        raise error(f"{what} {z.dtype} entries, expected numbers")
+    else:  # converting first could wrap another value onto -1 or +1
+        valid = (np.abs(z) == 1).all()
+    if not valid:
+        raise error(f"{what} entries other than -1/+1")
     return z.astype(SPIN_DTYPE)
+
+
+def as_spins(values) -> np.ndarray:
+    """``values`` as an int8 spin vector of its own length, at least 1, by ``_checked_spins``."""
+    return _checked_spins(values)
 
 
 def is_permutation(sigma: np.ndarray) -> bool:
@@ -149,8 +169,8 @@ class TabuMatrix:
     all of that (``m`` a non-negative integer, ``s`` a square, symmetric
     array of an integer dtype) and keeps a read-only int64 copy of ``s``;
     copies and pickles are rebuilt through it. ``_trusted`` skips the check
-    and is only for ``tabu_update``, whose result is the sum of a tabu
-    matrix and one more candidate's term.
+    and is only for ``_fold`` (``tabu_init``, ``tabu_update``), whose result
+    is the sum of a tabu matrix and one more candidate's term.
     """
 
     s: np.ndarray
@@ -262,7 +282,8 @@ class SolveReport:
 
 
 def objective(problem: QuboProblem, z: np.ndarray) -> float:
-    """Evaluate f(z) = z^T Q z."""
+    """Evaluate f(z) = z^T Q z. Only the length of ``z`` is checked: ``solve`` calls this
+    on every evaluated candidate, a row ``_checked_spins`` has already checked."""
     z = np.asarray(z)
     if z.shape != (problem.n,):
         raise ValueError(f"spin vector has length {z.size}, problem expects {problem.n}")
@@ -320,31 +341,25 @@ def _weight_sum(weights: np.ndarray, what: str, extra: float = 0.0) -> float:
 
 
 def energy(theta: WeightMatrix, z: np.ndarray) -> float:
-    """Evaluate the annealer cost: sum of biases plus one term per edge."""
-    z = np.asarray(z)
-    if z.shape != (theta.n,):
-        raise ValueError(f"spin vector has length {z.size}, weights expect {theta.n}")
+    """Evaluate the annealer cost of spins ``z`` (``_checked_spins``): biases plus one term per edge."""
+    z = _checked_spins(z, (theta.n,), "weights expect")
     return float(energies(theta.theta, z[None, :])[0])
 
 
 def tabu_init(z: np.ndarray) -> TabuMatrix:
     """Start a tabu matrix from one rejected candidate: one update of the zero matrix."""
     z = as_spins(z)
-    return tabu_update(TabuMatrix.zeros(z.size), z)
+    return _fold(TabuMatrix.zeros(z.size), z)
 
 
 def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
-    """Fold one more rejected candidate into the tabu matrix.
+    """Fold one more rejected candidate, checked by ``_checked_spins``, into the tabu matrix."""
+    return _fold(s, _checked_spins(z, (s.n,), "tabu matrix expects"))
 
-    ``z`` is checked. The result is built unchecked: ``s.s`` is symmetric
-    int64 by ``TabuMatrix``'s invariant and the added term is too, so their
-    sum is exactly symmetric, and every entry of the term is -1 or +1, so
-    each sum lies in [-(m + 1), m + 1] with the parity of m + 1.
-    """
-    z = as_spins(z)
-    if z.size != s.n:
-        raise ValueError(f"spin vector has length {z.size}, tabu matrix expects {s.n}")
-    z = z.astype(np.int64)
+
+def _fold(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
+    """``tabu_update`` on a checked int8 ``z``, built unchecked: ``s.s`` (int64) and the term are
+    symmetric, and each term entry is -1 or +1, so the sum keeps the invariant for m + 1."""
     term = np.outer(z, z)  # z (x) z - I + diag(z): off-diagonal z_i z_j, diagonal z_i
     np.fill_diagonal(term, z)
     return TabuMatrix._trusted(s.s + term, s.m + 1)
@@ -391,9 +406,8 @@ def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
 
 
 def decode(y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Read a qubit-ordered sample back into logical variable order."""
-    y = np.asarray(y)
+    """Read qubit-ordered spins ``y`` (``_checked_spins``) back into logical variable order."""
     sigma = np.asarray(sigma)
-    if y.size != sigma.size or not is_permutation(sigma):
+    if not is_permutation(sigma):
         raise ValueError("sigma is not a permutation of the sample's indices")
-    return y[sigma]
+    return _checked_spins(y, sigma.shape, "sigma has length")[sigma]

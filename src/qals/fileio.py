@@ -40,7 +40,10 @@ def parse_qubo_file(text: str) -> QuboProblem:
                 raise ParseError(f"line {lineno}: size is not an integer") from None
             if n < 1:
                 raise ParseError(f"line {lineno}: size must be positive")
-            q = np.zeros((n, n))
+            try:
+                q = np.zeros((n, n))
+            except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+                raise ParseError(f"line {lineno}: size {n} is too large for an (n, n) matrix") from None
             continue
         if len(tokens) != 3:
             raise ParseError(f"line {lineno}: expected 'i j value'")
@@ -103,9 +106,10 @@ _PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(QalsParams)}
 
 
 def parse_experiment_config(text: str) -> ExperimentSpec:
-    """Parse flat ``key = value`` experiment configuration lines."""
+    """Parse flat ``key = value`` experiment configuration lines, each key at most once."""
     spec_kwargs = {}
     param_kwargs = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +119,9 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
             if key in _SPEC_KEYS:
                 spec_kwargs[key] = _SPEC_KEYS[key](value)

@@ -20,7 +20,7 @@ from .samplers import (
     spins_at,
 )
 from .solver import reraise_with_context, solve
-from .topology import TopologyGraph, _check_real, _integer, chimera_graph, complete_graph, load_edge_list
+from .topology import TopologyGraph, _check_real, _edge_list, _integer, chimera_graph, complete_graph
 
 
 def check_instance_args(n, density: float, coeff_range: tuple) -> int:
@@ -153,21 +153,24 @@ def make_sampler(selector: str):
 
 
 def make_graph(selector: str, n: int) -> TopologyGraph:
-    """Build a topology from a CLI-style selector string, checked against n."""
+    """Build a topology from a CLI-style selector string, checked against n
+    before it is built: a Chimera grid's 8 m^2 nodes, an edge list's header count."""
     if selector == "complete":
         return complete_graph(n)
     if selector.startswith("chimera:"):
         size = selector.split(":", 1)[1]
-        if not size.isdecimal():
+        if not size.isdecimal() or int(size) == 0:
             raise ValueError(f"graph selector {selector!r}: chimera size must be a positive integer")
-        g = chimera_graph(int(size))
+        nodes, build = 8 * int(size) ** 2, lambda: chimera_graph(int(size))
     elif selector.startswith("file:"):
-        g = load_edge_list(selector.split(":", 1)[1])
+        with open(selector.split(":", 1)[1], "r", encoding="utf-8") as fh:
+            nodes, pairs = _edge_list(fh.read())
+        build = lambda: TopologyGraph(nodes, pairs)
     else:
         raise ValueError(f"unknown graph selector {selector!r}")
-    if g.n != n:
-        raise ValueError(f"graph has {g.n} nodes but the problem has {n} variables")
-    return g
+    if nodes != n:
+        raise ValueError(f"graph has {nodes} nodes but the problem has {n} variables")
+    return build()
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _weight_sum, energies, energy
+from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _weight_sum, energies, energy
 from .topology import _integer
 
 ENUMERATION_LIMIT = 24
@@ -41,12 +41,12 @@ class MalformedResponseError(SamplerError):
 
 
 class SampleShapeError(SamplerError):
-    """A backend returned rows that break ``Sampler``'s row rule."""
+    """A backend returned rows that break the spin rule, ``core._checked_spins``."""
 
 
 class Sampler(Protocol):
-    """Row rule, for every backend, remote included: ``sample`` returns a numeric array of
-    shape ``(k, n)`` with entries -1 and +1; other rows, ragged too, raise ``SampleShapeError``."""
+    """Every backend's ``sample`` returns k rows of ``theta``'s n spins, which must keep the
+    spin rule, ``core._checked_spins``, for shape ``(k, n)``, else ``SampleShapeError``."""
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         ...
@@ -412,32 +412,13 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     return WeightMatrix._trusted(scaled, theta.graph, theta.placement)
 
 
-def _validate_samples(samples, n: int, k: int) -> np.ndarray:
-    """``Sampler``'s row rule, the one check of every backend's rows: int8 in their layout."""
-    try:
-        samples = np.asarray(samples)
-    except ValueError as exc:  # ragged rows
-        raise SampleShapeError(f"backend returned rows that form no array: {exc}") from exc
-    if samples.shape != (k, n):
-        raise SampleShapeError(f"backend returned shape {samples.shape}, expected ({k}, {n})")
-    if samples.dtype == SPIN_DTYPE:  # -1 and +1 are the bytes ff and 01
-        valid = not samples.tobytes().translate(None, b"\x01\xff")
-    elif samples.dtype.kind not in "iuf":  # bool, complex, str, object
-        raise SampleShapeError(f"backend returned {samples.dtype} entries, expected numbers")
-    else:  # converting first could wrap another value onto -1 or +1
-        valid = (np.abs(samples) == 1).all()
-    if not valid:
-        raise SampleShapeError("backend returned entries other than -1/+1")
-    return samples.astype(SPIN_DTYPE)
-
-
 def estimate_argmin(
     sampler: Sampler, theta: WeightMatrix, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw k samples and keep the lowest-energy one.
 
-    The rows must keep ``Sampler``'s row rule (numeric, ``(k, n)``, entries
-    -1 and +1), else ``SampleShapeError``. All k samples are scored with one
+    The rows must keep the spin rule, ``core._checked_spins``, for shape
+    ``(k, n)``, else ``SampleShapeError``. All k samples are scored with one
     ``energies`` call; ties are decided by exact float equality and the
     first tied row wins. The rule compares the values of that one call only,
     which are a deterministic function of the samples, so the pick is too;
@@ -446,7 +427,7 @@ def estimate_argmin(
     returned unscored: every row has the same spins, so the tie rule would
     pick the same state.
     """
-    samples = _validate_samples(sampler.sample(theta, k, rng), theta.n, k)
+    samples = _checked_spins(sampler.sample(theta, k, rng), (k, theta.n), error=SampleShapeError)
     if samples.tobytes() == samples[0].tobytes() * k:  # int8; tobytes() is C order in any layout
         return samples[0]
     return samples[int(energies(theta.theta, samples).argmin())]
@@ -557,4 +538,4 @@ class RemoteSampler:
             raise MalformedResponseError("service returned non-finite energies")
         if len(reported) != k:
             raise MalformedResponseError(f"service returned {len(reported)} energies for {k} reads")
-        return _validate_samples(samples, n, k)
+        return _checked_spins(samples, (k, n), error=SampleShapeError)

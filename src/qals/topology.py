@@ -157,6 +157,11 @@ def parse_edge_list(text: str) -> TopologyGraph:
     First non-comment line is ``n <count>``; each following line is ``i j``
     with 0-based node indices. ``#`` starts a comment.
     """
+    return TopologyGraph(*_edge_list(text))
+
+
+def _edge_list(text: str) -> tuple[int, list]:
+    """``parse_edge_list``'s checked node count and pairs, before any graph is built."""
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -187,7 +192,7 @@ def parse_edge_list(text: str) -> TopologyGraph:
         pairs.append((i, j))
     if n is None:
         raise ValueError("missing header line 'n <count>'")
-    return TopologyGraph(n, pairs)
+    return n, pairs
 
 
 def load_edge_list(path) -> TopologyGraph:

@@ -82,6 +82,15 @@ def test_solve_chimera_graph_size_mismatch(pair_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_checks_a_graph_file_size_before_building_the_graph(pair_file, tmp_path, capsys):
+    # a mask of 10^18 entries cannot be built: the header alone must decide
+    path = tmp_path / "huge.edges"
+    path.write_text("n 1000000000\n0 1\n")
+    assert main(["solve", pair_file, "--graph", f"file:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert err == "qals: error: graph has 1000000000 nodes but the problem has 2 variables\n"
+
+
 def test_solve_on_chimera_cell(tmp_path, capsys):
     rows = ["qubo 8"] + [f"{i} {i} 1.0" for i in range(8)]
     path = tmp_path / "cell.qubo"
@@ -96,6 +105,14 @@ def test_oracle_pair(pair_file, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "minimum: -2.0"
     assert out[1] == "minimizer: -1 1"
+
+
+def test_oracle_on_a_size_too_large_for_a_matrix_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.qubo"
+    path.write_text("qubo 1000000000\n0 1 1.0\n")
+    assert main(["oracle", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "qals: error: line 1: size 1000000000 is too large for an (n, n) matrix\n"
 
 
 def test_oracle_missing_file(capsys):
@@ -208,6 +225,13 @@ def test_bench_bad_config(tmp_path, capsys):
     cfg.write_text("n = 4\nnope = 1\n")
     assert main(["bench", str(cfg)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_bench_rejects_a_repeated_config_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 5\nn = 7\nreplicas = 1\ni_max = 2\nbackend = random\n")
+    assert main(["bench", str(cfg)]) == 1
+    assert capsys.readouterr().err == "qals: error: line 2: duplicate key 'n'\n"
 
 
 def test_gen_bad_range(capsys):

@@ -13,6 +13,7 @@ from qals import (
     ExperimentSpec,
     QalsParams,
     QuboProblem,
+    SampleShapeError,
     TabuMatrix,
     TopologyGraph,
     WeightMatrix,
@@ -21,6 +22,7 @@ from qals import (
     decode,
     encode,
     energy,
+    estimate_argmin,
     objective,
     scale_to_ranges,
     tabu_init,
@@ -28,7 +30,7 @@ from qals import (
 )
 from qals.core import _WEIGHT_SUM_LIMIT, _place, as_spins, is_permutation
 
-from helpers import conjugate_tabu
+from helpers import bad_spins, conjugate_tabu
 
 
 def all_spins(n):
@@ -529,6 +531,44 @@ def test_spin_validation():
         as_spins(np.array([1, 0, -1]))
     with pytest.raises(ValueError):
         as_spins(np.array([[1], [-1]]))
+
+
+# One table of bad spin inputs for every entry point of the spin rule: each is a
+# ValueError, or a SampleShapeError for sampler rows, with the rule's one message.
+SPIN_ENTRY_POINTS = {
+    "as_spins": as_spins,
+    "tabu_init": tabu_init,
+    "tabu_update": lambda z: tabu_update(TabuMatrix.zeros(2), z),
+    "decode": lambda z: decode(z, np.array([1, 0])),
+    "energy": lambda z: energy(weights(np.eye(2), complete_graph(2)), z),
+}
+
+
+def bad_spin_params(shape):
+    return [pytest.param(values, message, id=label) for label, values, message in bad_spins(shape)]
+
+
+@pytest.mark.parametrize("entry", SPIN_ENTRY_POINTS)
+@pytest.mark.parametrize("values, message", bad_spin_params((2,)))
+def test_every_spin_entry_point_rejects_what_breaks_the_spin_rule(entry, values, message):
+    with pytest.raises(ValueError, match=f"^spin vector has {message}"):
+        SPIN_ENTRY_POINTS[entry](values)
+
+
+@pytest.mark.parametrize("values, message", bad_spin_params((2, 2)))
+def test_estimate_argmin_rejects_sampler_rows_that_break_the_spin_rule(values, message):
+    class PlugIn:
+        def sample(self, theta, k, rng):
+            return values
+
+    w = weights(np.eye(2), complete_graph(2))
+    with pytest.raises(SampleShapeError, match=f"^sample has {message}"):
+        estimate_argmin(PlugIn(), w, 2, np.random.default_rng(0))
+
+
+def test_decode_names_a_sample_of_another_length():
+    with pytest.raises(ValueError, match="spin vector has length 3, sigma has length 2"):
+        decode(np.array([1, -1, 1]), np.array([1, 0]))
 
 
 def test_params_validation():

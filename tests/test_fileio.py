@@ -124,6 +124,19 @@ def test_config_unknown_key():
         parse_experiment_config("n = 4\nweird = 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("n = 5\nn = 7\n", "line 2: duplicate key 'n'"),
+        ("n = 5\nrange = 0:1\nrange=0:2\n", "line 3: duplicate key 'range'"),
+    ],
+    ids=["n", "range"],
+)
+def test_config_rejects_a_repeated_key(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_experiment_config(text)
+
+
 def test_config_line_without_equals():
     with pytest.raises(ParseError, match="line 2: expected 'key = value'"):
         parse_experiment_config("n = 4\nreplicas 2\n")

@@ -239,8 +239,17 @@ def test_make_graph_loads_an_edge_list_file(tmp_path):
     assert harness.make_graph(f"file:{path}", 4) == TopologyGraph(4, pairs)
 
 
+def test_make_graph_checks_a_chimera_size_before_building_the_graph(monkeypatch):
+    def unbuildable(m):
+        raise AssertionError(f"chimera_graph({m}) was built")
+
+    monkeypatch.setattr(harness, "chimera_graph", unbuildable)
+    with pytest.raises(ValueError, match="graph has 80000000000 nodes but the problem has 8 variables"):
+        harness.make_graph("chimera:100000", 8)
+
+
 def test_make_graph_names_a_bad_chimera_size():
-    for selector in ("chimera:x", "chimera:1.5", "chimera:-1", "chimera:"):
+    for selector in ("chimera:x", "chimera:1.5", "chimera:-1", "chimera:", "chimera:0"):
         with pytest.raises(ValueError, match=f"graph selector '{selector}': chimera size"):
             harness.make_graph(selector, 8)
 

@@ -2,7 +2,9 @@
 
 ``encode``, ``scale_to_ranges`` and ``tabu_update`` build their results
 without ``WeightMatrix``'s or ``TabuMatrix``'s checks. Each property passes
-those results back through the public constructor, which must accept them.
+those results back through the public constructor, which must accept them;
+``tabu_update`` gets candidates of any dtype and shape, which the spin rule
+rejects or folds.
 Every weight matrix those makers accept, up to the weight bound, gives every
 local sampler finite energies and spin rows. The instance file format
 round-trips every matrix ``QuboProblem`` accepts exactly.
@@ -12,9 +14,9 @@ import sys
 import warnings
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays, scalar_dtypes, unicode_string_dtypes
 
 from qals import (
     ExactSampler,
@@ -110,21 +112,42 @@ def test_scaled_weights_pass_the_public_checks(data):
     assert np.abs(np.triu(scaled.theta, 1)).max() <= gamma * (1 + 1e-15)
 
 
-@given(st.data())
-def test_tabu_update_folds_pass_the_public_checks(data):
-    n = data.draw(st.integers(1, MAX_N))
-    zs = [spins(data.draw, n) for _ in range(data.draw(st.integers(1, 12)))]
+@st.composite
+def fold_cases(draw):
+    """A size n and candidates for ``tabu_update``: mostly length-n spin vectors in
+    numeric dtypes, else arrays of any dtype and shape, spin values included."""
+    n = draw(st.integers(1, MAX_N))
+    spin_vectors = arrays(
+        st.sampled_from([np.int8, np.int16, np.int64, np.float32, np.float64]),
+        n,
+        elements=st.sampled_from([-1, 1]),
+    )
+    dtypes = scalar_dtypes() | unicode_string_dtypes() | st.just(np.dtype(object))
+    anything = arrays(dtypes, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=MAX_N + 1))
+    candidates = st.one_of(spin_vectors, spin_vectors, anything)
+    return n, draw(st.lists(candidates, min_size=1, max_size=12))
+
+
+@given(fold_cases())
+@example((2, [np.array([1j, 1])]))  # |1j| == 1: read as int8, a 0 spin would break the parity
+def test_tabu_update_folds_pass_the_public_checks(case):
+    n, candidates = case
     s = TabuMatrix.zeros(n)
-    for z in zs:
-        s = tabu_update(s, z)
+    folded = []
+    for z in candidates:
+        try:
+            s = tabu_update(s, z)
+        except ValueError:  # the spin rule's one error
+            continue
+        folded.append(z.astype(np.int64))
         assert np.all(np.abs(s.s) <= s.m)
         assert np.all(s.s % 2 == s.m % 2)
     checked = TabuMatrix(s.s, s.m)
     np.testing.assert_array_equal(checked.s, s.s)
-    assert s.s.dtype == np.int64 and s.m == len(zs)
+    assert s.s.dtype == np.int64 and s.m == len(folded)
     closed = sum(
-        np.outer(z, z).astype(np.int64) - np.eye(n, dtype=np.int64) + np.diag(z.astype(np.int64))
-        for z in zs
+        (np.outer(z, z) - np.eye(n, dtype=np.int64) + np.diag(z) for z in folded),
+        np.zeros((n, n), dtype=np.int64),
     )
     np.testing.assert_array_equal(s.s, closed)
 

@@ -310,7 +310,7 @@ def test_one_shot_helper():
 
 # json.dumps writes NaN and Infinity, which Python's json (and so requests)
 # reads back as floats: each mode is a payload that parses but is not valid.
-# Bad spins break the row rule every backend keeps; bad energies are the client's own check.
+# Bad spins break the spin rule every backend keeps; bad energies are the client's own check.
 @pytest.mark.parametrize(
     "mode", ["fractional_spin", "infinite_spin", "nan_energy", "string_energies", "string_spin"]
 )

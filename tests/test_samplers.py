@@ -16,6 +16,7 @@ from qals import (
     QalsParams,
     QuboProblem,
     RandomSampler,
+    SampleShapeError,
     TopologyGraph,
     WeightMatrix,
     chimera_graph,
@@ -27,7 +28,9 @@ from qals import (
     scale_to_ranges,
     solve,
 )
-from qals.core import energies
+from qals.core import _checked_spins, energies
+
+from helpers import bad_spins
 
 TOY = np.array([[1.0, -1.0], [-1.0, -1.0]])  # E(z) = z1 - z2 - z1 z2
 
@@ -800,7 +803,7 @@ def test_estimate_argmin_reads_f_ordered_batches(monkeypatch):
     calls = count_energies(monkeypatch)
     w = weights(np.diag([1.0, -2.0, 1.0]), complete_graph(3))
     same, mixed = Stub([[1, -1, 1]] * 4), Stub([[1, -1, 1], [1, 1, 1], [-1, 1, -1], [1, -1, 1]])
-    validated = sam._validate_samples(mixed.sample(w, 4, None), 3, 4)
+    validated = _checked_spins(mixed.sample(w, 4, None), (4, 3), error=SampleShapeError)
     assert validated.flags.f_contiguous and not validated.flags.c_contiguous
     np.testing.assert_array_equal(estimate_argmin(same, w, 4, None), [1, -1, 1])
     assert calls == []
@@ -847,52 +850,23 @@ def test_sampler_contract_shape_enforced():
             return np.ones((k, theta.n + 1), dtype=np.int8)
 
     w = weights(TOY, complete_graph(2))
-    from qals import SampleShapeError
-
-    with pytest.raises(SampleShapeError):
+    with pytest.raises(SampleShapeError, match=re.escape("sample has shape (2, 3), expected (2, 2)")):
         estimate_argmin(Broken(), w, 2, np.random.default_rng(0))
 
-    class NotSpins:
-        def __init__(self, bad):
-            self.bad = bad
-
-        def sample(self, theta, k, rng):
-            rows = np.ones((k, theta.n), dtype=self.bad.dtype)
-            rows[-1, 0] = self.bad
-            return rows
-
-    # as int8, uint8 255 and int16 257 would wrap onto -1 and +1
-    for bad in (np.int8(0), np.int8(2), np.int8(-128), np.uint8(255), np.int16(257)):
-        with pytest.raises(SampleShapeError, match=r"entries other than -1/\+1"):
-            estimate_argmin(NotSpins(bad), w, 2, np.random.default_rng(0))
-
     class Rows:
-        def __init__(self, make):
-            self.make = make
+        def __init__(self, rows):
+            self.rows = rows
 
         def sample(self, theta, k, rng):
-            return self.make(k, theta.n)
+            return self.rows
 
-    # rows that are not a numeric (k, n) array: every one is a SampleShapeError, in
-    # estimate_argmin and in solve, never a numpy error or a silent conversion to int8
-    def complex_rows(k, n):
-        rows = np.ones((k, n), dtype=complex)
-        rows[-1, 0] = 1j  # |1j| == 1, and as int8 it would be a 0 spin
-        return rows
-
-    makes = (
-        lambda k, n: [[1] * n] * (k - 1) + [[1] * (n + 1)],  # ragged
-        lambda k, n: [["1"] * n] * k,
-        lambda k, n: np.ones((k, n), dtype=object),
-        complex_rows,
-        lambda k, n: np.ones((k, n), dtype=bool),
-    )
+    # rows that break the spin rule (the table estimate_argmin is tested on in
+    # test_core.py) are a SampleShapeError in solve too, never a numpy error or
+    # a silent conversion to int8
     problem = QuboProblem(TOY)
-    for make in makes:
-        with pytest.raises(SampleShapeError):
-            estimate_argmin(Rows(make), w, 2, np.random.default_rng(0))
-        with pytest.raises(SampleShapeError, match="during initialization"):
-            solve(problem, complete_graph(2), Rows(make), QalsParams(k=2, i_max=1, seed=0))
+    for _, rows, message in bad_spins((2, 2)):
+        with pytest.raises(SampleShapeError, match=f"^sample has {message}.*during initialization"):
+            solve(problem, complete_graph(2), Rows(rows), QalsParams(k=2, i_max=1, seed=0))
 
 
 # ------------------------------------------------------------ range scaling
