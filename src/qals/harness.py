@@ -20,7 +20,7 @@ from .samplers import (
     spins_at,
 )
 from .solver import reraise_with_context, solve
-from .topology import TopologyGraph, _check_real, _edge_list, _integer, chimera_graph, complete_graph
+from .topology import TopologyGraph, _check_real, _integer, chimera_graph, complete_graph, load_edge_list
 
 
 def check_instance_args(n, density: float, coeff_range: tuple) -> int:
@@ -153,24 +153,24 @@ def make_sampler(selector: str):
 
 
 def make_graph(selector: str, n: int) -> TopologyGraph:
-    """Build a topology from a CLI-style selector string, checked against n
-    before it is built: a Chimera grid's 8 m^2 nodes, an edge list's header count."""
+    """Build a topology from a CLI-style selector string and check its node
+    count against n. A Chimera grid's 8 m^2 nodes are checked before it is
+    built, since ``chimera_graph`` loops over its m^2 cells in Python."""
     if selector == "complete":
         return complete_graph(n)
     if selector.startswith("chimera:"):
         size = selector.split(":", 1)[1]
         if not size.isdecimal() or int(size) == 0:
             raise ValueError(f"graph selector {selector!r}: chimera size must be a positive integer")
-        nodes, build = 8 * int(size) ** 2, lambda: chimera_graph(int(size))
+        graph, nodes = None, 8 * int(size) ** 2
     elif selector.startswith("file:"):
-        with open(selector.split(":", 1)[1], "r", encoding="utf-8") as fh:
-            nodes, pairs = _edge_list(fh.read())
-        build = lambda: TopologyGraph(nodes, pairs)
+        graph = load_edge_list(selector.split(":", 1)[1])
+        nodes = graph.n
     else:
         raise ValueError(f"unknown graph selector {selector!r}")
     if nodes != n:
         raise ValueError(f"graph has {nodes} nodes but the problem has {n} variables")
-    return build()
+    return chimera_graph(int(size)) if graph is None else graph
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

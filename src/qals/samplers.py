@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
@@ -18,7 +19,7 @@ import numpy as np
 import requests
 
 from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _weight_sum, energies, energy
-from .topology import _integer
+from .topology import _check_real, _integer
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18  # states per enumeration block: 2**18
@@ -46,10 +47,20 @@ class SampleShapeError(SamplerError):
 
 class Sampler(Protocol):
     """Every backend's ``sample`` returns k rows of ``theta``'s n spins, which must keep the
-    spin rule, ``core._checked_spins``, for shape ``(k, n)``, else ``SampleShapeError``."""
+    spin rule, ``core._checked_spins``, for shape ``(k, n)``, else ``SampleShapeError``.
+    The read count k is an integer of at least 1 (a bool or float is not), else
+    ``ValueError``; every backend and ``estimate_argmin`` check it before sampling."""
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         ...
+
+
+def _check_k(k) -> int:
+    """The read count rule of ``Sampler``: ``k`` as a Python int of at least 1."""
+    k = _integer(k, "k")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return k
 
 
 _SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)  # the spin of bit value 0 and 1
@@ -206,8 +217,7 @@ class ExactSampler:
         and n bytes for a one-state set.
         """
         _check_enumerable(theta.n)
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = _check_k(k)
         n = theta.n
         sigma = np.arange(n) if theta.placement is None else theta.placement
         logical = theta.theta.take(sigma, 0).take(sigma, 1)
@@ -304,8 +314,7 @@ class MetropolisSampler:
         exactly when u < e, and u == e gives +0. 2 beta s is formed once per sweep.
         An overflow gives +-inf, whose exp, inf or 0, decides the move exactly.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = _check_k(k)
         betas = np.geomspace(*_auto_beta_range(theta.theta), self.sweeps)
         n = theta.n
         classes = theta.graph.colour_classes
@@ -349,8 +358,7 @@ class RandomSampler:
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         """k uniform random spin vectors."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = _check_k(k)
         return _SPINS[rng.integers(0, 2, size=(k, theta.n))]
 
 
@@ -427,6 +435,7 @@ def estimate_argmin(
     returned unscored: every row has the same spins, so the tie rule would
     pick the same state.
     """
+    k = _check_k(k)
     samples = _checked_spins(sampler.sample(theta, k, rng), (k, theta.n), error=SampleShapeError)
     if samples.tobytes() == samples[0].tobytes() * k:  # int8; tobytes() is C order in any layout
         return samples[0]
@@ -440,13 +449,20 @@ class RemoteSampler:
     are rescaled client-side before each ``POST {endpoint}/sample``. Each
     sampler keeps one HTTP session, so a service that keeps connections
     alive answers every call on the same connection. No retries: transport
-    failures surface immediately. Its own errors: transport ``TransportError``; bad status,
-    JSON, energies or ``/info`` (``max_nodes`` >= 1) ``MalformedResponseError``.
+    failures surface immediately, so ``timeout``, in seconds per request, must
+    be a real number (not a bool, a string or None) with ``0 < timeout <=
+    threading.TIMEOUT_MAX``, the longest wait Python can time, else
+    ``ValueError`` from the constructor; it is kept as a float. Its own errors:
+    transport ``TransportError``; bad status, JSON, energies or ``/info``
+    (``max_nodes`` >= 1) ``MalformedResponseError``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
+        _check_real(timeout, "timeout")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail here
+            raise ValueError(f"timeout {timeout!r} is not in (0, {threading.TIMEOUT_MAX}] seconds")
         self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
+        self.timeout = float(timeout)
         self._info = None
         self._session = requests.Session()
 
@@ -502,6 +518,7 @@ class RemoteSampler:
         return info
 
     def sample(self, theta: WeightMatrix, k: int, rng=None) -> np.ndarray:
+        k = _check_k(k)  # before info(), so a bad k sends no request
         info = self.info()
         n = theta.n
         if n > info["max_nodes"]:
@@ -518,7 +535,7 @@ class RemoteSampler:
             "n": n,
             "biases": [float(b) for b in scaled.biases],
             "couplings": couplings,
-            "num_reads": int(k),
+            "num_reads": k,
         }
         try:
             r = self._session.post(f"{self.endpoint}/sample", json=request, timeout=self.timeout)

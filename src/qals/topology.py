@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 
@@ -30,17 +30,14 @@ class TopologyGraph:
 
     ``edges`` is any iterable of node pairs. The constructor checks them
     (integer nodes in range, no self-loops), collapses duplicates and stores
-    a frozenset of ``(min, max)`` Python-int tuples; graphs compare by ``n``
-    and ``edges``. ``adjacency_mask`` is derived once from the edges: a
-    read-only float64 (n, n) array, 1 on every edge in both orientations and
-    on the diagonal (so that encoding keeps linear bias terms), 0 elsewhere.
-    The instance is frozen, and copies and pickles are rebuilt through the
-    constructor, so no field or mask can change after the checks.
+    a frozenset of ``(min, max)`` Python-int tuples, in time linear in the
+    edges; graphs compare by ``n`` and ``edges``. The instance is frozen,
+    and copies and pickles are rebuilt through the constructor, so no field
+    can change after the checks.
     """
 
     n: int
     edges: frozenset
-    adjacency_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _integer(self.n, "node count")
@@ -59,14 +56,8 @@ class TopologyGraph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
             edges.add((i, j) if i < j else (j, i))
-        mask = np.eye(n, dtype=np.float64)
-        if edges:
-            rows, cols = zip(*edges)
-            mask[rows, cols] = mask[cols, rows] = 1.0
-        mask.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "adjacency_mask", mask)
 
     def __reduce__(self):
         return TopologyGraph, (self.n, self.edges)
@@ -77,6 +68,18 @@ class TopologyGraph:
 
     def degree(self, i: int) -> int:
         return int(self.adjacency_mask[i].sum()) - 1
+
+    @cached_property
+    def adjacency_mask(self) -> np.ndarray:
+        """Read-only float64 (n, n) array, derived from the edges on first use:
+        1 on every edge in both orientations and on the diagonal (so that
+        encoding keeps linear bias terms), 0 elsewhere."""
+        mask = np.eye(self.n, dtype=np.float64)
+        if self.edges:
+            rows, cols = zip(*self.edges)
+            mask[rows, cols] = mask[cols, rows] = 1.0
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def colour_classes(self) -> tuple[np.ndarray, ...]:
@@ -157,11 +160,6 @@ def parse_edge_list(text: str) -> TopologyGraph:
     First non-comment line is ``n <count>``; each following line is ``i j``
     with 0-based node indices. ``#`` starts a comment.
     """
-    return TopologyGraph(*_edge_list(text))
-
-
-def _edge_list(text: str) -> tuple[int, list]:
-    """``parse_edge_list``'s checked node count and pairs, before any graph is built."""
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -192,7 +190,7 @@ def _edge_list(text: str) -> tuple[int, list]:
         pairs.append((i, j))
     if n is None:
         raise ValueError("missing header line 'n <count>'")
-    return n, pairs
+    return TopologyGraph(n, pairs)
 
 
 def load_edge_list(path) -> TopologyGraph:

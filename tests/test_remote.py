@@ -2,6 +2,7 @@
 
 import json
 import threading
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
@@ -234,6 +235,18 @@ def test_unreachable_endpoint():
     sampler = RemoteSampler("http://127.0.0.1:1", timeout=0.5)
     with pytest.raises(TransportError):
         sampler.sample(toy_weights(), 1)
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf"), 1e10, True, "5", None])
+def test_a_bad_timeout_is_rejected_by_the_constructor(timeout):
+    with pytest.raises(ValueError, match="timeout"):
+        RemoteSampler("http://127.0.0.1:1", timeout=timeout)
+
+
+def test_a_timeout_is_kept_as_a_float():
+    for timeout in (Fraction(1, 2), np.float64(0.5), threading.TIMEOUT_MAX):
+        kept = RemoteSampler("http://127.0.0.1:1", timeout=timeout).timeout
+        assert type(kept) is float and kept == timeout
 
 
 def test_dropped_sample_connection_is_a_transport_error(tmp_path):

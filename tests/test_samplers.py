@@ -16,6 +16,7 @@ from qals import (
     QalsParams,
     QuboProblem,
     RandomSampler,
+    RemoteSampler,
     SampleShapeError,
     TopologyGraph,
     WeightMatrix,
@@ -994,10 +995,29 @@ def test_scale_bounds_attained():
 # -------------------------------------------------------------- determinism
 
 
-@pytest.mark.parametrize("make", [ExactSampler, MetropolisSampler, RandomSampler])
-def test_local_backends_reject_zero_reads(make):
-    with pytest.raises(ValueError, match="k must be at least 1"):
-        make().sample(zero_weights(3), 0, np.random.default_rng(0))
+class _Ones:
+    """A plug-in sampler that keeps no rule of its own: k rows of +1."""
+
+    def sample(self, theta, k, rng):
+        return np.ones((k, theta.n))
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, True, "2"])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda w, k, rng: ExactSampler().sample(w, k, rng),
+        lambda w, k, rng: MetropolisSampler(sweeps=1).sample(w, k, rng),
+        lambda w, k, rng: RandomSampler().sample(w, k, rng),
+        # a bad k is rejected before any request: no TransportError from the closed port
+        lambda w, k, rng: RemoteSampler("http://127.0.0.1:1", timeout=0.5).sample(w, k, rng),
+        lambda w, k, rng: estimate_argmin(_Ones(), w, k, rng),
+    ],
+    ids=["exact", "metropolis", "random", "remote", "estimate_argmin"],
+)
+def test_every_backend_and_the_estimator_reject_a_bad_read_count(draw, k):
+    with pytest.raises(ValueError, match=r"^k (must be at least 1|.* is not an integer)"):
+        draw(zero_weights(3), k, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("make", [ExactSampler, MetropolisSampler, RandomSampler])

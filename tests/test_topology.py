@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qals import TopologyGraph, chimera_graph, complete_graph, parse_edge_list
+from qals import TopologyGraph, chimera_graph, complete_graph, load_edge_list, parse_edge_list
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (5, 10)])
@@ -198,6 +198,33 @@ def test_parse_edge_list_errors(text):
 def test_parse_edge_list_reports_line_numbers():
     with pytest.raises(ValueError, match="line 3"):
         parse_edge_list("# c\nn 3\n0 7\n")
+
+
+def test_load_edge_list_reads_a_file_as_parse_edge_list_reads_its_text(tmp_path):
+    text = "# ring\nn 4\n0 1\n1 2\n2 3  # last but one\n3 0\n"
+    path = tmp_path / "ring.edges"
+    path.write_text(text)
+    assert load_edge_list(path) == parse_edge_list(text)
+
+
+# A graph of 10**9 nodes costs its edges only: a dense (n, n) mask would need
+# 8 EB. Its mask, degrees and colour classes are never asked for here.
+HUGE = 10**9
+
+
+def test_a_huge_edge_list_header_builds_a_graph_of_its_edges(tmp_path):
+    text = f"n {HUGE}\n0 1\n"
+    path = tmp_path / "huge.edges"
+    path.write_text(text)
+    for graph in (parse_edge_list(text), load_edge_list(path)):
+        assert graph.n == HUGE
+        assert graph.edges == {(0, 1)}
+
+
+def test_a_huge_graph_without_edges_compares_and_pickles():
+    g = TopologyGraph(HUGE, [])
+    assert g == TopologyGraph(HUGE, set())
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 # ------------------------------------------------------------ colour classes
