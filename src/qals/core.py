@@ -177,9 +177,7 @@ class TabuMatrix:
     m: int = 0
 
     def __post_init__(self):
-        m = _integer(self.m, "tabu count m")
-        if m < 0:
-            raise ValueError("tabu count m must be non-negative")
+        m = _integer(self.m, "tabu count m", 0)
         s = np.asarray(self.s)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("tabu matrix must be square")
@@ -245,11 +243,9 @@ class QalsParams:
             raise ValueError("q must lie in (0, 1]")
         if not 0.0 < self.lambda0 < math.inf:
             raise ValueError("lambda0 must be positive and finite")
-        for name in ("N", "k", "i_max", "N_max", "d_min", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("N", "k", "i_max", "N_max", "d_min"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

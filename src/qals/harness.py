@@ -33,9 +33,7 @@ def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     ``hi - lo`` fit in a float, so the range can be sampled uniformly); else
     ``ValueError``.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _integer(n, "n", 1)
     _check_real(density, "density")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
@@ -99,8 +97,9 @@ class ExperimentSpec:
     """One replicated-benchmark configuration, checked once, here, and frozen.
 
     A single random instance is generated from ``params.seed``; replica r
-    then solves it with seed ``params.seed + r``. The instance arguments
-    follow ``check_instance_args``; backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
+    then solves it with seed ``params.seed + r``. The instance arguments follow
+    ``check_instance_args``; ``backend`` and ``graph`` are selector strings and
+    ``params`` a ``QalsParams``; backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
     """
 
     n: int
@@ -113,11 +112,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_instance_args(self.n, self.density, self.coeff_range))
+        object.__setattr__(self, "replicas", _integer(self.replicas, "replicas", 1))
+        for name, kind in (("backend", str), ("graph", str), ("params", QalsParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
         if self.backend == "exact":
             _check_enumerable(self.n, ValueError)
-        object.__setattr__(self, "replicas", _integer(self.replicas, "replicas"))
-        if self.replicas < 1:
-            raise ValueError("replicas must be at least 1")
 
 
 @dataclass

@@ -48,19 +48,11 @@ class SampleShapeError(SamplerError):
 class Sampler(Protocol):
     """Every backend's ``sample`` returns k rows of ``theta``'s n spins, which must keep the
     spin rule, ``core._checked_spins``, for shape ``(k, n)``, else ``SampleShapeError``.
-    The read count k is an integer of at least 1 (a bool or float is not), else
-    ``ValueError``; every backend and ``estimate_argmin`` check it before sampling."""
+    Every backend and ``estimate_argmin`` check the read count with the count rule,
+    ``_integer(k, "k", 1)``, before sampling."""
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         ...
-
-
-def _check_k(k) -> int:
-    """The read count rule of ``Sampler``: ``k`` as a Python int of at least 1."""
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return k
 
 
 _SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)  # the spin of bit value 0 and 1
@@ -217,7 +209,7 @@ class ExactSampler:
         and n bytes for a one-state set.
         """
         _check_enumerable(theta.n)
-        k = _check_k(k)
+        k = _integer(k, "k", 1)
         n = theta.n
         sigma = np.arange(n) if theta.placement is None else theta.placement
         logical = theta.theta.take(sigma, 0).take(sigma, 1)
@@ -281,9 +273,7 @@ class MetropolisSampler:
     sweeps: int = 100
 
     def __post_init__(self):
-        self.sweeps = _integer(self.sweeps, "sweeps")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be at least 1")
+        self.sweeps = _integer(self.sweeps, "sweeps", 1)
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         """Run k independent annealed Metropolis chains and return their endpoints.
@@ -314,7 +304,7 @@ class MetropolisSampler:
         exactly when u < e, and u == e gives +0. 2 beta s is formed once per sweep.
         An overflow gives +-inf, whose exp, inf or 0, decides the move exactly.
         """
-        k = _check_k(k)
+        k = _integer(k, "k", 1)
         betas = np.geomspace(*_auto_beta_range(theta.theta), self.sweeps)
         n = theta.n
         classes = theta.graph.colour_classes
@@ -358,7 +348,7 @@ class RandomSampler:
 
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         """k uniform random spin vectors."""
-        k = _check_k(k)
+        k = _integer(k, "k", 1)
         return _SPINS[rng.integers(0, 2, size=(k, theta.n))]
 
 
@@ -391,13 +381,15 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     into [-delta, delta] and the couplings into [-gamma, gamma]; an entry
     already inside keeps its bits.
 
-    The bounds are checked; the result is built without ``WeightMatrix``'s
-    checks, because dividing a checked matrix by one positive scalar and
-    clipping it entrywise keeps it symmetric and zero off the edge set, and
-    every entry ends finite and within its bound. Only the weight bound can
-    break, as the ranges may be as wide as the largest float, so the result
-    is checked against it (``ValueError``, ``sum|weights| is ...``).
+    The bounds must be positive finite reals; the result is built without
+    ``WeightMatrix``'s checks, because dividing a checked matrix by one positive
+    scalar and clipping it entrywise keeps it symmetric and zero off the edge
+    set, and every entry ends finite and within its bound. Only the weight
+    bound can break, as the ranges may be as wide as the largest float, so the
+    result is checked against it (``ValueError``, ``sum|weights| is ...``).
     """
+    _check_real(delta, "delta")
+    _check_real(gamma, "gamma")
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
         raise ValueError("range bounds must be positive and finite")
     weights = theta.theta
@@ -435,7 +427,7 @@ def estimate_argmin(
     returned unscored: every row has the same spins, so the tie rule would
     pick the same state.
     """
-    k = _check_k(k)
+    k = _integer(k, "k", 1)
     samples = _checked_spins(sampler.sample(theta, k, rng), (k, theta.n), error=SampleShapeError)
     if samples.tobytes() == samples[0].tobytes() * k:  # int8; tobytes() is C order in any layout
         return samples[0]
@@ -518,7 +510,7 @@ class RemoteSampler:
         return info
 
     def sample(self, theta: WeightMatrix, k: int, rng=None) -> np.ndarray:
-        k = _check_k(k)  # before info(), so a bad k sends no request
+        k = _integer(k, "k", 1)  # before info(), so a bad k sends no request
         info = self.info()
         n = theta.n
         if n > info["max_nodes"]:

@@ -11,10 +11,12 @@ from itertools import count
 import numpy as np
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int; a bool, float or other non-integer is rejected."""
+def _integer(value, what: str, least: int | None = None) -> int:
+    """The count rule: ``value`` as a Python int (not a bool) of at least ``least``, if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}")
     return int(value)
 
 
@@ -40,9 +42,7 @@ class TopologyGraph:
     edges: frozenset
 
     def __post_init__(self):
-        n = _integer(self.n, "node count")
-        if n < 1:
-            raise ValueError("node count must be positive")
+        n = _integer(self.n, "node count", 1)
         edges = set()
         for pair in self.edges:
             try:
@@ -67,7 +67,10 @@ class TopologyGraph:
         return len(self.edges)
 
     def degree(self, i: int) -> int:
-        return int(self.adjacency_mask[i].sum()) - 1
+        i = _integer(i, "node")
+        if i not in range(self.n):
+            raise ValueError(f"node {i} out of range for {self.n} nodes")
+        return sum(i in edge for edge in self.edges)  # O(edges): no dense mask at any n
 
     @cached_property
     def adjacency_mask(self) -> np.ndarray:
@@ -132,9 +135,7 @@ def chimera_graph(m: int) -> TopologyGraph:
     left qubit in the vertically adjacent cell, right qubits to the
     same-position right qubit in the horizontally adjacent cell.
     """
-    m = _integer(m, "grid size")
-    if m < 1:
-        raise ValueError("grid size must be positive")
+    m = _integer(m, "grid size", 1)
     n = 8 * m * m
     pairs = []
     for r in range(m):

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 from qals import (
+    ExactSampler,
     ExperimentSpec,
+    MetropolisSampler,
     QalsParams,
     QuboProblem,
+    RandomSampler,
+    RemoteSampler,
     SampleShapeError,
     TabuMatrix,
     TopologyGraph,
@@ -29,6 +33,7 @@ from qals import (
     tabu_update,
 )
 from qals.core import _WEIGHT_SUM_LIMIT, _place, as_spins, is_permutation
+from qals.harness import check_instance_args
 
 from helpers import bad_spins, conjugate_tabu
 
@@ -253,7 +258,7 @@ def test_tabu_matrix_rejects_a_non_square_or_asymmetric_s(s, match):
         (np.zeros((2, 2), dtype=bool), 0, "entries must be integers"),
         ([[2, 0], [0, 0]], 0, r"must lie in \[-m, m\] with the parity of m = 0"),
         ([[1, 0], [0, 1]], 1, "with the parity of m = 1"),
-        ([[0]], -3, "tabu count m must be non-negative"),
+        ([[0]], -3, "tabu count m must be at least 0"),
         ([[0]], 2.0, "tabu count m 2.0 is not an integer"),
         ([[0]], True, "tabu count m True is not an integer"),
     ],
@@ -609,3 +614,79 @@ def test_params_store_numpy_integers_as_python_ints():
     params = QalsParams(k=np.int64(3), seed=np.uint64(2**64 - 1))
     assert type(params.k) is int and type(params.seed) is int
     assert params.seed == 2**64 - 1
+
+
+_TWO = WeightMatrix(np.zeros((2, 2)), complete_graph(2))
+
+
+class _Recorder:
+    """A stand-in HTTP session for ``RemoteSampler``: keeps the sample request
+    and answers it with all-(+1) rows."""
+
+    def post(self, url, json, timeout):
+        self.request = json
+        rows = [[1] * json["n"]] * json["num_reads"]
+        payload = {"samples": rows, "energies": [0.0] * len(rows)}
+        return type("Response", (), {"status_code": 200, "json": lambda self: payload})()
+
+
+def _remote_reads(k):
+    """The read count ``RemoteSampler.sample`` puts in its request, without a network."""
+    sampler = RemoteSampler("http://service.invalid")
+    sampler._info = {"delta": 1.0, "gamma": 1.0, "topology": "complete", "max_nodes": 2}
+    sampler._session = _Recorder()
+    sampler.sample(_TWO, k)
+    return sampler._session.request["num_reads"]
+
+
+class _KeepsK:
+    """Returns k rows of +1 and keeps the k it was asked for."""
+
+    def sample(self, theta, k, rng):
+        self.k = k
+        return np.ones((k, theta.n), dtype=np.int8)
+
+
+def _argmin_reads(k):
+    sampler = _KeepsK()
+    estimate_argmin(sampler, _TWO, k, np.random.default_rng(0))
+    return sampler.k
+
+
+def _rows(sampler):
+    return lambda k: sampler.sample(_TWO, k, np.random.default_rng(0)).shape[0]
+
+
+# site: (what, least, count), where count(value) builds with the value and
+# returns what the count became
+COUNTS = {
+    "TopologyGraph.n": ("node count", 1, lambda v: TopologyGraph(v, []).n),
+    "chimera_graph.m": ("grid size", 1, lambda v: chimera_graph(v).n // 8),  # 8 m^2 nodes, m = 1
+    "TabuMatrix.m": ("tabu count m", 0, lambda v: TabuMatrix(np.zeros((1, 1), dtype=int), v).m),
+    **{
+        f"QalsParams.{name}": (name, 1, lambda v, name=name: getattr(QalsParams(**{name: v}), name))
+        for name in ("N", "k", "i_max", "N_max", "d_min")
+    },
+    "ExactSampler.sample": ("k", 1, _rows(ExactSampler())),
+    "MetropolisSampler.sample": ("k", 1, _rows(MetropolisSampler(sweeps=1))),
+    "RandomSampler.sample": ("k", 1, _rows(RandomSampler())),
+    "RemoteSampler.sample": ("k", 1, _remote_reads),
+    "estimate_argmin": ("k", 1, _argmin_reads),
+    "MetropolisSampler.sweeps": ("sweeps", 1, lambda v: MetropolisSampler(sweeps=v).sweeps),
+    "check_instance_args.n": ("n", 1, lambda v: check_instance_args(v, 0.5, (-1.0, 1.0))),
+    "ExperimentSpec.replicas": (
+        "replicas", 1, lambda v: ExperimentSpec(n=2, replicas=v, backend="random").replicas
+    ),
+}
+
+
+@pytest.mark.parametrize("site", COUNTS)
+def test_every_count_follows_one_rule(site):
+    what, least, count = COUNTS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be at least {least}$"):
+        count(least - 1)
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {bad!r} is not an integer')}$"):
+            count(bad)
+    got = count(np.int64(least))
+    assert type(got) is int and got == least

@@ -137,6 +137,21 @@ def test_experiment_spec_rejects_non_integer_counts(name, bad):
         small_spec(**{name: bad})
 
 
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("backend", 5, "backend 5 is not a str"),
+        ("graph", None, "graph None is not a str"),
+        ("params", None, "params None is not a QalsParams"),
+        ("params", {"seed": 1}, r"params \{'seed': 1\} is not a QalsParams"),
+    ],
+)
+def test_experiment_spec_checks_its_selectors_and_params(name, bad, message):
+    # unchecked, each would fail later inside run_experiment with AttributeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        small_spec(**{name: bad})
+
+
 def test_experiment_spec_rejects_zero_replicas():
     with pytest.raises(ValueError, match="replicas must be at least 1"):
         small_spec(replicas=0)
@@ -255,7 +270,7 @@ def test_make_graph_names_a_bad_chimera_size():
 
 
 BAD_INSTANCE_ARGS = [
-    ((0, 0.5, (-1.0, 1.0)), "n must be positive"),
+    ((0, 0.5, (-1.0, 1.0)), "n must be at least 1"),
     ((4.5, 0.5, (-1.0, 1.0)), "n 4.5 is not an integer"),
     ((True, 0.5, (-1.0, 1.0)), "n True is not an integer"),
     ((4, -0.1, (-1.0, 1.0)), r"density must lie in \[0, 1\]"),

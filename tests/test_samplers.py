@@ -888,6 +888,16 @@ def test_scale_rejects_bounds_that_are_not_positive_and_finite(bounds):
         scale_to_ranges(w, *bounds)
 
 
+@pytest.mark.parametrize("bad", [True, "2", None])
+@pytest.mark.parametrize("which", ["delta", "gamma"])
+def test_scale_rejects_bounds_that_are_not_real_numbers(which, bad):
+    # unchecked, True would scale as 1.0 and a string or None fail inside the comparison
+    w = weights(np.array([[4.0, 0.5], [0.5, 0.0]]), complete_graph(2))
+    bounds = {"delta": 2.0, "gamma": 1.0, which: bad}
+    with pytest.raises(ValueError, match=f"^{which} {bad!r} is not a real number$"):
+        scale_to_ranges(w, **bounds)
+
+
 def test_scale_zero_matrix_unchanged():
     g = complete_graph(3)
     w = weights(np.zeros((3, 3)), g)

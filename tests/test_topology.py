@@ -67,6 +67,20 @@ def test_chimera_degrees():
     assert all(g3.degree(base_mid + t) == 6 for t in range(8))
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (-1, "node -1 out of range for 3 nodes"),  # not node 2 from the end
+        (3, "node 3 out of range for 3 nodes"),
+        (True, "node True is not an integer"),  # not a boolean index over the nodes
+        (1.0, "node 1.0 is not an integer"),
+    ],
+)
+def test_degree_checks_its_node(node, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TopologyGraph(3, [(1, 2)]).degree(node)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_masks_symmetric_unit_diagonal(m):
     g = chimera_graph(m)
@@ -105,7 +119,7 @@ def test_edge_list_out_of_range():
         (3, [(2, 2)], "self-loop"),
         (3, [(0, 1, 2)], "not a pair"),
         (3, [7], "not a pair"),
-        (0, [], "node count must be positive"),
+        (0, [], "node count must be at least 1"),
         (2.0, [], "node count 2.0 is not an integer"),
         (True, [], "node count True is not an integer"),
     ],
@@ -131,7 +145,7 @@ def test_graph_constructors_reject_non_integer_counts(build, bad, what):
 
 
 def test_chimera_graph_rejects_a_non_positive_size():
-    with pytest.raises(ValueError, match="grid size must be positive"):
+    with pytest.raises(ValueError, match="grid size must be at least 1"):
         chimera_graph(0)
 
 
@@ -208,7 +222,7 @@ def test_load_edge_list_reads_a_file_as_parse_edge_list_reads_its_text(tmp_path)
 
 
 # A graph of 10**9 nodes costs its edges only: a dense (n, n) mask would need
-# 8 EB. Its mask, degrees and colour classes are never asked for here.
+# 8 EB. Its mask and colour classes are never asked for here.
 HUGE = 10**9
 
 
@@ -219,6 +233,12 @@ def test_a_huge_edge_list_header_builds_a_graph_of_its_edges(tmp_path):
     for graph in (parse_edge_list(text), load_edge_list(path)):
         assert graph.n == HUGE
         assert graph.edges == {(0, 1)}
+
+
+def test_a_huge_graph_counts_degrees_from_its_edges():
+    g = TopologyGraph(HUGE, [(0, 1)])
+    assert (g.degree(0), g.degree(1), g.degree(HUGE - 1)) == (1, 1, 0)
+    assert "adjacency_mask" not in vars(g)
 
 
 def test_a_huge_graph_without_edges_compares_and_pickles():
