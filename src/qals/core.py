@@ -121,8 +121,8 @@ class WeightMatrix:
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
     Only ``_place`` sets it, and ``scale_to_ranges`` and copies carry it
     over; the public constructor always leaves it None. ``ExactSampler``
-    reads it to recognise a landscape it has already enumerated under
-    another placement.
+    reads it to recognise a one-state landscape it has already enumerated
+    under another placement.
     """
 
     theta: np.ndarray

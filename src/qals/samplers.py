@@ -179,8 +179,9 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
 class ExactSampler:
     """Oracle backend: every sample is a true minimizer of the landscape.
 
-    It keeps its last enumeration, so a call that sees the same pulled-back
-    weights under another placement skips it (see ``sample``).
+    It keeps its last one-state landscape, so a call that sees the same
+    pulled-back weights under another placement skips the enumeration (see
+    ``sample``).
     """
 
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -188,25 +189,21 @@ class ExactSampler:
     def sample(self, theta: WeightMatrix, k: int, rng: np.random.Generator) -> np.ndarray:
         """Return k states drawn uniformly from the exact minimizer set.
 
-        The weights are pulled back to the logical frame,
+        The weights are enumerated as given, in qubit order, by
+        ``enumerate_minima`` (ties within its rounding slack). From a set of
+        several states the k rows are drawn with one ``rng.integers(0, count,
+        size=k)`` call. A one-state set is returned as k copies without drawing from
+        the rng, and it is cached: its n logical spins, keyed by the bytes of
+        the weights pulled back to the logical frame,
         ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
-        (the identity when None), and enumerated by ``enumerate_minima``
-        (ties within its rounding slack). A one-state set is placed
-        directly, ``row[sigma] = spins``, and returned as k copies without
-        drawing from the rng. A larger set has its logical indices mapped
-        to qubit order through the enumerator's own layout, ``_halves``
-        (tables of 2**h and 2**l qubit-order indices), then sorted, and the
-        draw is one ``rng.integers(0, count, size=k)`` call. So the result is a function
-        of the pulled-back weights, sigma and the rng alone, and always a
-        fresh, writable ``(k, n)`` array. The bytes of the last pulled-back
-        weights, their minimizer indices and, for a one-state set, its n
-        logical spins are cached: a call whose pulled-back weights have the
+        (the identity when None). A call whose pulled-back weights have the
         same bytes (on a complete graph, the same coefficients under any
-        placement) reuses them. Weights that differ only in the sign of a
-        zero re-enumerate, to the same rows. A call holds what
-        ``enumerate_minima`` holds, then 16 bytes per minimizer to map them;
-        between calls it keeps 8 n**2 bytes of weights, 8 bytes per minimizer
-        and n bytes for a one-state set.
+        placement) places the cached spins, ``row[sigma] = spins``, without
+        enumerating. So the result is a function of the weights, sigma and
+        the rng alone, and always a fresh, writable ``(k, n)`` array. Weights
+        that differ only in the sign of a zero re-enumerate, to the same rows.
+        A call holds what ``enumerate_minima`` holds; between calls the
+        sampler keeps 8 n**2 bytes of key and n bytes of spins.
         """
         _check_enumerable(theta.n)
         k = _integer(k, "k", 1)
@@ -214,27 +211,14 @@ class ExactSampler:
         sigma = np.arange(n) if theta.placement is None else theta.placement
         logical = theta.theta.take(sigma, 0).take(sigma, 1)
         key = logical.tobytes()  # 8 n**2 bytes: equal keys have equal n
-        last = self._last
-        if last is None or last[0] != key:
-            found = enumerate_minima(logical)
-            single = spins_at(n, found)[0] if found.size == 1 else None
-            last = self._last = (key, found, single)
-        _, found, single = last
-        if single is not None:
-            row = np.empty(n, dtype=SPIN_DTYPE)
-            row[sigma] = single  # logical variable i sits on qubit sigma[i]
-            return row[None].repeat(k, 0)
-        # logical variable i sits on qubit sigma[i], its bit n-1-i on bit n-1-sigma[i]: split
-        # as the enumerator does, logical state a * 2**l + b sits at qubit index high[a] | low[b]
-        h, l, z_high, z_low = _halves(n)
-        place = 1 << _shifts(n)[sigma]  # int64 whatever sigma's dtype
-        high, low = (z_high > 0) @ place[:h], (z_low > 0) @ place[h:]
-        indices = found >> l
-        np.take(high, indices, out=indices, mode="clip")  # in place: mode "raise" buffers out
-        b = found & ((1 << l) - 1)
-        indices |= np.take(low, b, out=b, mode="clip")
-        indices.sort()
-        return spins_at(n, indices[rng.integers(0, indices.size, size=k)])
+        if self._last is None or self._last[0] != key:
+            found = enumerate_minima(theta.theta)
+            if found.size > 1:
+                return spins_at(n, found[rng.integers(0, found.size, size=k)])
+            self._last = (key, spins_at(n, found)[0][sigma])  # logical i sits on qubit sigma[i]
+        row = np.empty(n, dtype=SPIN_DTYPE)
+        row[sigma] = self._last[1]
+        return row[None].repeat(k, 0)
 
 
 # Every derived endpoint is at most this, so 2 * beta is finite: at an

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -70,7 +70,12 @@ class TopologyGraph:
         i = _integer(i, "node")
         if i not in range(self.n):
             raise ValueError(f"node {i} out of range for {self.n} nodes")
-        return sum(i in edge for edge in self.edges)  # O(edges): no dense mask at any n
+        return self._degrees[i]
+
+    @cached_property
+    def _degrees(self) -> Counter:
+        """Edge endpoints counted once per graph: no n-sized array at any n."""
+        return Counter(node for edge in self.edges for node in edge)
 
     @cached_property
     def adjacency_mask(self) -> np.ndarray:

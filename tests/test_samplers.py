@@ -292,11 +292,12 @@ def test_reused_exact_sampler_matches_a_fresh_one_per_call(monkeypatch):
     c1, c2 = coefficients("decimal", 8, rng), coefficients("float", 8, rng)
     s1, s2 = rng.permutation(8), rng.permutation(8)
     sequence = [  # (weights, enumerations the call makes)
-        (encode(c1, s1, g), 1),  # empty cache
-        (encode(c1, s1, g), 0),  # the same weights
-        (encode(c1, s2, g), 0),  # the same coefficients under another placement
-        (WeightMatrix(c1, g), 0),  # public weights: the identity placement
-        (encode(c2, s2, g), 1),  # new coefficients after a hit
+        (encode(c1, s1, g), 1),  # empty cache; c1 has two minimizers, so none is kept
+        (encode(c1, s1, g), 1),  # the same weights
+        (encode(c1, s2, g), 1),  # the same coefficients under another placement
+        (WeightMatrix(c1, g), 1),  # public weights: the identity placement
+        (encode(c2, s2, g), 1),  # new coefficients, with one minimizer
+        (encode(c2, s1, g), 0),  # the same coefficients under another placement: a hit
         (encode(c2, s2, chimera), 1),  # sparse: the masked couplings differ
         (encode(c2, s1, chimera), 1),  # ... and depend on the placement
         (encode(c2, s2, chimera), 1),  # one entry only: the first sparse landscape is gone
@@ -307,7 +308,7 @@ def test_reused_exact_sampler_matches_a_fresh_one_per_call(monkeypatch):
         rows = warm.sample(w, 6, np.random.default_rng(step))
         assert len(calls) - before == misses, step
         np.testing.assert_array_equal(rows, ExactSampler().sample(w, 6, np.random.default_rng(step)))
-    assert warm._last[1].dtype == np.int64  # indices, not spin rows, are kept between calls
+    assert warm._last[1].dtype == np.int8 and warm._last[1].shape == (8,)  # n logical spins
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 16])
@@ -364,18 +365,19 @@ def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, m
         for kind in ("float", "decimal", "zero"):
             c = coefficients(kind, n, rng)
             sigma = rng.permutation(n).astype(dtype)
-            for step in range(3):  # one miss, then two hits
+            for step in range(3):  # one miss, then two hits on a one-state landscape
                 if graph.num_edges == n * (n - 1) // 2 and step:
                     sigma = rng.permutation(n).astype(dtype)  # complete: a hit under any placement
                 w = encode(c, sigma.copy(), graph)
                 before = len(calls)
                 got_rng, ref_rng = np.random.default_rng(step), np.random.default_rng(step)
+                single = enumerate_minima(w.theta).size == 1
                 rows = warm.sample(w, 7, got_rng)
-                assert len(calls) - before == (step == 0), (n, kind, step)
+                assert len(calls) - before == (step == 0 or not single), (n, kind, step)
                 np.testing.assert_array_equal(rows, ExactSampler().sample(w, 7, ref_rng))
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state, (n, kind, step)
             if kind == "float":  # a unique minimizer: the hits took the one-state path
-                assert warm._last[1].size == 1 and warm._last[2].dtype == np.int8
+                assert warm._last[1].dtype == np.int8 and warm._last[1].shape == (n,)
             if kind == "zero":  # equal weights but for the sign of a zero: the same rows
                 signed = c.copy()
                 signed[0, 0] = -0.0
@@ -386,22 +388,53 @@ def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, m
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state, n
 
 
-def test_exact_sampler_alternating_set_sizes_matches_fresh_samplers():
+def test_exact_sampler_alternating_set_sizes_matches_fresh_samplers(monkeypatch):
+    import qals.samplers as sam
+
+    sizes = set()  # the size of every set the sampler enumerates
+    enumerate_minima = sam.enumerate_minima
+
+    def counted(w):
+        found = enumerate_minima(w)
+        sizes.add(found.size)
+        return found
+
+    monkeypatch.setattr(sam, "enumerate_minima", counted)
     rng = np.random.default_rng(5)
     g = complete_graph(10)
     unique, tied = coefficients("float", 10, rng), coefficients("ternary", 10, rng)
     np.fill_diagonal(tied, 0.0)  # no biases: z and -z tie, so the set has several states
     warm = ExactSampler()
-    sizes = set()
     for step in range(12):
-        c = (unique, tied)[step // 2 % 2]  # two calls per landscape: a miss, then a hit
+        c = (unique, tied)[step // 2 % 2]  # two calls per landscape: a miss, then a hit if unique
         w = encode(c, rng.permutation(10), g)
         got_rng, ref_rng = np.random.default_rng(step), np.random.default_rng(step)
         rows = warm.sample(w, 5, got_rng)
-        sizes.add(warm._last[1].size)
         np.testing.assert_array_equal(rows, ExactSampler().sample(w, 5, ref_rng))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state, step
     assert 1 in sizes and max(sizes) > 1
+
+
+def test_exact_sampler_keeps_no_tie_set_between_calls():
+    # all 2**16 states tie: a kept set would be 512 KB of indices, the bound is 8 n**2 + n
+    # bytes of key and spins plus 1 KB for the sampler object and tracemalloc's own records
+    import gc
+    import tracemalloc
+
+    n = 16
+    w = zero_weights(n)
+    ExactSampler().sample(w, 4, np.random.default_rng(0))  # warm-up: the cached spin tables
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        sampler = ExactSampler()
+        sampler.sample(w, 4, np.random.default_rng(1))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * n * n + n + 1024, held
 
 
 @pytest.mark.parametrize("kind", ["float", "zero"])

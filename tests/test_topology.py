@@ -241,6 +241,12 @@ def test_a_huge_graph_counts_degrees_from_its_edges():
     assert "adjacency_mask" not in vars(g)
 
 
+def test_every_degree_of_a_large_chimera_graph_counts_its_edges():
+    g = chimera_graph(16)  # 2048 nodes, 6016 edges: the degrees are counted once per graph
+    expected = np.bincount(np.array(list(g.edges)).ravel(), minlength=g.n)
+    assert [g.degree(i) for i in range(g.n)] == expected.tolist()
+
+
 def test_a_huge_graph_without_edges_compares_and_pickles():
     g = TopologyGraph(HUGE, [])
     assert g == TopologyGraph(HUGE, set())
