@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     except SamplerError as exc:
         print(f"qals: sampler error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError, MemoryError) as exc:
         print(f"qals: error: {exc}", file=sys.stderr)
         return 1
 

@@ -112,10 +112,10 @@ class WeightMatrix:
     _WEIGHT_SUM_LIMIT`` (so no energy is inf or NaN), and its couplings
     vanish wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
     The public constructor checks it on a read-only copy of ``theta``.
-    ``_trusted`` skips the checks and marks ``theta`` read-only; it is only
-    for code that makes the invariant true itself: ``_place``,
-    ``scale_to_ranges`` (which checks its own sum) and ``__reduce__``, so
-    copies and pickles stay read-only.
+    ``_trusted`` skips the checks and marks ``theta`` and ``placement``
+    read-only; it is only for code that makes the invariant true itself:
+    ``_place``, ``scale_to_ranges`` (which checks its own sum) and
+    ``__reduce__``, so copies and pickles stay read-only.
 
     ``placement`` is the sigma these weights were encoded under (qubit
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
@@ -145,6 +145,8 @@ class WeightMatrix:
     ) -> "WeightMatrix":
         """Wrap a float64 ``theta`` that already meets the invariant, unchecked, read-only."""
         theta.setflags(write=False)  # once per iteration: cheaper than flags.writeable
+        if placement is not None:
+            placement.setflags(write=False)
         out = cls.__new__(cls)
         object.__setattr__(out, "theta", theta)
         object.__setattr__(out, "graph", graph)
@@ -371,15 +373,15 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     This is the checked boundary: ``qprime`` must be (n, n), finite and
     symmetric (off-edge entries included), with ``sum|qprime|`` within the
     weight bound, and ``sigma`` a permutation of the nodes. The result
-    records ``sigma`` (the checked array itself, not a copy) as its
-    ``placement``.
+    records a read-only copy of ``sigma`` as its ``placement``, so a later
+    write into the caller's array does not reach it.
     """
     n = graph.n
     qprime = _checked_symmetric(qprime, "coefficient matrix", "sum|coefficients|", n)
     sigma = np.asarray(sigma)
     if sigma.size != n or not is_permutation(sigma):
         raise ValueError("sigma is not a permutation of the graph's nodes")
-    return _place(qprime, sigma, graph)
+    return _place(qprime, sigma.copy(), graph)
 
 
 def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> WeightMatrix:

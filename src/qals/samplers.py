@@ -58,21 +58,14 @@ class Sampler(Protocol):
 _SPINS = np.array([-1, 1], dtype=SPIN_DTYPE)  # the spin of bit value 0 and 1
 
 
-@functools.cache
-def _shifts(n: int) -> np.ndarray:
-    """Read-only int64 shifts ``n-1, ..., 0``: bit ``n-1-i`` of an index drives spin i."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    shifts.flags.writeable = False
-    return shifts
-
-
 def spins_at(n: int, indices: np.ndarray) -> np.ndarray:
     """Spin rows of {-1,+1}^n at the given lexicographic state indices.
 
     Index 0 is the all -1 vector and indices increase in lexicographic
     order with -1 < +1 (bit n-1-i of the index drives component i).
     """
-    return _SPINS[(np.asarray(indices, dtype=np.int64)[:, None] >> _shifts(n)) & 1]
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    return _SPINS[(np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & 1]
 
 
 @functools.cache
@@ -88,33 +81,25 @@ def _spin_table(l: int) -> np.ndarray:
     return table
 
 
-def _halves(n: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """The split-bits layout: H is the first ``h = n // 2`` spins, L the last ``l``.
-
-    State ``a * 2**l + b`` is H's state a followed by L's state b. Returns
-    ``(h, l, z_high, z_low)`` with the spin rows of H's and of L's states;
-    ``z_high`` is a view of ``z_low = _spin_table(l)``.
-    """
-    h, l = n // 2, n - n // 2
-    z_low = _spin_table(l)
-    return h, l, z_low[: 1 << h, l - h :], z_low
-
-
 def _table_blocks(weights: np.ndarray):
     """Yield the split-bits energy table of a raw weight array as ``(first index, energies)``.
 
-    With the spins split by ``_halves`` into H and L, the energy of state
-    ``a * 2**l + b`` is ``((Z_H C Z_L^T)[a, b] + E_L[b]) + E_H[a]``. ``E_H``
-    and ``E_L`` are ``energies`` of the two diagonal blocks of the weights,
-    and ``C = weights[:h, h:]``, the H-L couplings, lies wholly above the
-    diagonal. A block is rows of H holding 2**_BLOCK_BITS states (at least
-    one row), and it is one product ``[Z_H C | 1 | E_H] @ [Z_L^T; E_L; 1]``
-    of about ``n / 2`` flops per state. Every term of that product is
-    exact, a weight sum times a spin or 1, so a product that sums in index
-    order (OpenBLAS's matrix product does; a one-row block's vector product
-    need not) has the bits of that three-step sum.
+    H is the first ``h = n // 2`` spins and L the last ``l = n - h``. State
+    ``a * 2**l + b`` is H's state a followed by L's state b, and its energy
+    is ``((Z_H C Z_L^T)[a, b] + E_L[b]) + E_H[a]``, with ``Z_H`` and ``Z_L``
+    the spin rows of H's and of L's states. ``E_H`` and ``E_L`` are
+    ``energies`` of the two diagonal blocks of the weights, and ``C =
+    weights[:h, h:]``, the H-L couplings, lies wholly above the diagonal.
+    A block is rows of H holding 2**_BLOCK_BITS states (at least one row),
+    and it is one product ``[Z_H C | 1 | E_H] @ [Z_L^T; E_L; 1]`` of about
+    ``n / 2`` flops per state. Every term of that product is exact, a
+    weight sum times a spin or 1, so a product that sums in index order
+    (OpenBLAS's matrix product does; a one-row block's vector product need
+    not) has the bits of that three-step sum.
     """
-    h, l, z_high, z_low = _halves(weights.shape[0])
+    h, l = weights.shape[0] // 2, (weights.shape[0] + 1) // 2
+    z_low = _spin_table(l)
+    z_high = z_low[: 1 << h, l - h :]  # Z_H: the last h spins of L's first 2**h states
     # C order: with two BLAS threads, a product on the F-ordered z_low.T took ten times as long
     high, low = np.empty((1 << h, l + 2)), np.empty((l + 2, 1 << l))
     high[:, :l] = z_high @ weights[:h, h:]

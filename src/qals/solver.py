@@ -64,16 +64,14 @@ def modify_permutation(sigma: np.ndarray, pr: float, rng: np.random.Generator) -
     """Mark each index with probability pr and shuffle the marked images.
 
     pr = 0 returns the input unchanged; pr = 1 shuffles every image
-    uniformly at random. The draws are one ``rng.random(n)`` and, when at
-    least two indices are marked, one ``rng.shuffle`` of the marked images,
-    which consumes the rng as ``rng.permutation`` of their count would (a
-    permutation of 0 or 1 items draws nothing).
+    uniformly at random. The draws are one ``rng.random(n)`` and one
+    ``rng.shuffle`` of the marked images, which consumes the rng as
+    ``rng.permutation`` of their count would; the shuffle draws nothing for
+    0 or 1 marked images.
     """
     sigma = np.asarray(sigma)
     marked = (rng.random(sigma.size) < pr).nonzero()[0]
     out = sigma.copy()
-    if marked.size < 2:
-        return out
     moved = sigma[marked]
     rng.shuffle(moved)
     out[marked] = moved
@@ -142,10 +140,6 @@ def solve(
     annealer call is one step: ``_place`` the coefficients under sigma (a
     permutation; ``q + lam * S`` is finite and exactly symmetric), take
     ``estimate_argmin``'s checked best sample, read it back as ``y[sigma]``.
-    The coefficients ``q + lam * S`` are built once before the loop and
-    again only where an evaluated candidate updates lam or the tabu matrix;
-    an iteration that returns the current solution changes neither, so it
-    places the same coefficients under its new sigma.
     """
     n = problem.n
     if graph.n != n:
@@ -185,13 +179,12 @@ def solve(
     z_best, f_best = z_star.copy(), f_star
     best_found_at = 0
     trace = [] if record_trace else None
-    coeffs = problem.q + lam * tabu.s
 
     while True:
         if i % params.N == 0:
             p = update_p(p, params.p_delta, params.eta)
         sigma = modify_permutation(sigma_star, p, perm_rng)
-        z_prime = anneal(coeffs, sigma, f"iteration {i}")
+        z_prime = anneal(problem.q + lam * tabu.s, sigma, f"iteration {i}")
         if pert_rng.random() < params.q:
             z_prime = perturb_candidate(z_prime, p, pert_rng)
 
@@ -216,7 +209,6 @@ def solve(
             if improved:
                 tabu = tabu_update(tabu, z_prime)  # the displaced current solution
             lam = update_lambda(params.lambda0, i, e)
-            coeffs = problem.q + lam * tabu.s  # lam and the tabu matrix change only here
         else:
             e += 1
 

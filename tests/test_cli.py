@@ -261,6 +261,18 @@ def test_bench_exact_above_the_enumeration_limit_exits_one_before_generating(
     assert captured.err.startswith("qals: error: exact enumeration supports at most 24 variables")
 
 
+def test_gen_too_large_for_memory_exits_one(capsys, monkeypatch):
+    # numpy's allocation failure is a MemoryError; raise one here rather than allocate
+    def refuse(n, *args):
+        raise MemoryError(f"Unable to allocate {8 * n * n} bytes")
+
+    monkeypatch.setattr(cli, "random_qubo", refuse)
+    assert main(["gen", "--n", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qals: error: Unable to allocate 8000000000000 bytes\n"
+
+
 @pytest.mark.parametrize("coeff_range", ["0:inf", "-1e308:1e308", "-1e307:1e307"])
 def test_gen_range_too_wide_for_a_float_exits_one(capsys, coeff_range):
     # 9 * 1e307 is a float, but above the weight bound a QuboProblem must meet

@@ -160,6 +160,9 @@ def test_weights_are_read_only_wherever_they_are_made(rebuild):
     for w in made + [rebuild(w) for w in made]:
         with pytest.raises(ValueError, match="read-only"):
             w.theta[0, 0] = np.nan
+        if w.placement is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                w.placement[1] = 5
     for w in made:
         twin = rebuild(w)
         np.testing.assert_array_equal(twin.theta, w.theta)
@@ -167,6 +170,15 @@ def test_weights_are_read_only_wherever_they_are_made(rebuild):
     assert rebuild(public).placement is None
     for w in made[1:]:  # the placement a copy carries is the one the weights were encoded under
         np.testing.assert_array_equal(rebuild(w).placement, sigma)
+
+
+def test_a_write_into_the_callers_sigma_does_not_reach_encoded_weights():
+    sigma = np.arange(4)
+    w = encode(np.diag([1.0, -1.0, 1.0, -1.0]), sigma, complete_graph(4))
+    sigma[0] = 99
+    np.testing.assert_array_equal(w.placement, np.arange(4))
+    rows = ExactSampler().sample(w, 2, np.random.default_rng(0))  # raised IndexError when shared
+    np.testing.assert_array_equal(rows, np.tile([-1, 1, -1, 1], (2, 1)))
 
 
 def test_weights_and_problems_above_the_weight_bound_are_rejected():
@@ -485,7 +497,9 @@ def test_trusted_placement_matches_encode(graph):
         placed = _place(coeffs, sigma, graph)
         checked = encode(coeffs, sigma, graph)
         assert placed.theta.tobytes() == checked.theta.tobytes()
-        assert placed.placement is sigma and checked.placement is sigma
+        assert placed.placement is sigma  # _place trusts its caller's fresh sigma
+        assert checked.placement is not sigma and not checked.placement.flags.writeable
+        np.testing.assert_array_equal(checked.placement, sigma)
         WeightMatrix(placed.theta, graph)  # the unchecked result passes the public checks
 
 

@@ -2,11 +2,10 @@
 
 ``literal_solve`` transcribes the QALS loop line by line through the public,
 checked ``encode``, ``decode``, ``objective``, ``tabu_init``, ``tabu_update``
-and ``estimate_argmin``. It rebuilds ``q + lam S`` and encodes it afresh every
-iteration, and tests a duplicate with ``np.array_equal``, where ``solve``
-rebuilds the coefficients only after an evaluation, places them unchecked and
-compares bytes. Both draw from the same named streams, so every report, trace
-included, must be the same bytes.
+and ``estimate_argmin``. It encodes ``q + lam S`` every iteration and tests a
+duplicate with ``np.array_equal``, where ``solve`` places the coefficients
+unchecked and compares bytes. Both draw from the same named streams, so every
+report, trace included, must be the same bytes.
 """
 
 import numpy as np

@@ -316,7 +316,8 @@ def test_table_blocks_have_the_bits_of_the_three_step_sum(n, monkeypatch):
     # every term of the folded block product is exact, so summed in index order it
     # gives (cross @ Z_L^T + E_L) + E_H bit for bit; blocks of two rows keep a matrix product
     w = coefficients("float", n, np.random.default_rng(n))
-    h, l, z_high, z_low = sam._halves(n)
+    h, l = n // 2, n - n // 2
+    z_high, z_low = (sam.spins_at(b, np.arange(1 << b)).astype(np.float64) for b in (h, l))
     table = (z_high @ w[:h, h:]) @ np.ascontiguousarray(z_low.T)
     table += energies(w[h:, h:], z_low)
     table += energies(w[:h, :h], z_high)[:, None]

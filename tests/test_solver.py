@@ -409,6 +409,25 @@ def test_solve_places_the_coefficients_of_each_iterations_lambda_and_tabu(monkey
         lam = t["lam"]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_enumerates_only_where_its_coefficients_change(seed, monkeypatch):
+    # on a complete graph the exact backend keeps the last one-state landscape,
+    # so a call with the previous call's coefficient bytes, under any sigma, is a hit
+    import qals.samplers as sam
+    import qals.solver as sol
+
+    placed, enumerations = [], []
+    place, enumerate_minima = sol._place, sam.enumerate_minima
+    monkeypatch.setattr(sol, "_place", lambda c, sigma, g: placed.append(c.tobytes()) or place(c, sigma, g))
+    monkeypatch.setattr(sam, "enumerate_minima", lambda w: enumerations.append(1) or enumerate_minima(w))
+    problem = random_qubo(10, 0.7, (-1.0, 1.0), np.random.default_rng(seed))
+    report = solve(problem, complete_graph(10), ExactSampler(), QalsParams(i_max=120, seed=seed))
+    changes = sum(a != b for a, b in zip(placed, placed[1:]))
+    assert len(placed) == report.iterations + 2
+    assert len(enumerations) == 1 + changes
+    assert changes < len(placed) - 1  # some call hit the kept landscape
+
+
 def test_solve_random_sampler_still_optimizes():
     rng = np.random.default_rng(9)
     q = rng.uniform(-1, 1, size=(6, 6))
