@@ -97,9 +97,11 @@ class ExperimentSpec:
     """One replicated-benchmark configuration, checked once, here, and frozen.
 
     A single random instance is generated from ``params.seed``; replica r
-    then solves it with seed ``params.seed + r``. The instance arguments follow
-    ``check_instance_args``; ``backend`` and ``graph`` are selector strings and
-    ``params`` a ``QalsParams``; backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
+    then solves it with seed ``params.seed + r``, so the last of these must
+    still fit in an unsigned 64-bit integer, as ``QalsParams`` asks of every
+    seed. The instance arguments follow ``check_instance_args``; ``backend``
+    and ``graph`` are selector strings and ``params`` a ``QalsParams``;
+    backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
     """
 
     n: int
@@ -118,6 +120,11 @@ class ExperimentSpec:
                 raise ValueError(f"{name} {getattr(self, name)!r} is not a {kind.__name__}")
         if self.backend == "exact":
             _check_enumerable(self.n, ValueError)
+        if self.params.seed + self.replicas - 1 >= 2**64:  # the last replica's seed
+            raise ValueError(
+                f"seeds {self.params.seed} to {self.params.seed + self.replicas - 1} of "
+                f"{self.replicas} replicas must fit in an unsigned 64-bit integer"
+            )
 
 
 @dataclass

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Protocol
 
 import numpy as np
-import requests
 
 from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _weight_sum, energies, energy
 from .topology import _check_real, _integer
@@ -415,7 +414,9 @@ class RemoteSampler:
     threading.TIMEOUT_MAX``, the longest wait Python can time, else
     ``ValueError`` from the constructor; it is kept as a float. Its own errors:
     transport ``TransportError``; bad status, JSON, energies or ``/info``
-    (``max_nodes`` >= 1) ``MalformedResponseError``.
+    (``max_nodes`` >= 1) ``MalformedResponseError``. ``requests`` is imported
+    when the first sampler is built, not with this module, so local runs never
+    load the HTTP stack.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
@@ -425,10 +426,14 @@ class RemoteSampler:
         self.endpoint = endpoint.rstrip("/")
         self.timeout = float(timeout)
         self._info = None
+        import requests  # not at module top (class docstring), nor on self: a module does not pickle
+
         self._session = requests.Session()
 
     def info(self) -> dict:
         if self._info is None:
+            import requests
+
             try:
                 r = self._session.get(f"{self.endpoint}/info", timeout=self.timeout)
             except requests.RequestException as exc:
@@ -498,6 +503,8 @@ class RemoteSampler:
             "couplings": couplings,
             "num_reads": k,
         }
+        import requests
+
         try:
             r = self._session.post(f"{self.endpoint}/sample", json=request, timeout=self.timeout)
         except requests.RequestException as exc:

@@ -261,6 +261,19 @@ def test_bench_exact_above_the_enumeration_limit_exits_one_before_generating(
     assert captured.err.startswith("qals: error: exact enumeration supports at most 24 variables")
 
 
+def test_bench_seeds_past_two_to_the_64_exit_one_before_any_replica(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("spec was accepted"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n = 4\nreplicas = 2\nbackend = random\ni_max = 3\nseed = {2**64 - 1}\n")
+    assert main(["bench", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"qals: error: seeds {2**64 - 1} to {2**64} of 2 replicas "
+        "must fit in an unsigned 64-bit integer\n"
+    )
+
+
 def test_gen_too_large_for_memory_exits_one(capsys, monkeypatch):
     # numpy's allocation failure is a MemoryError; raise one here rather than allocate
     def refuse(n, *args):

@@ -157,6 +157,13 @@ def test_experiment_spec_rejects_zero_replicas():
         small_spec(replicas=0)
 
 
+def test_experiment_spec_rejects_replica_seeds_past_two_to_the_64():
+    # replica r solves with seed + r; unchecked, replica 1 failed after replica 0 had run
+    with pytest.raises(ValueError, match="must fit in an unsigned 64-bit integer"):
+        small_spec(replicas=2, params=QalsParams(seed=2**64 - 1))
+    assert small_spec(replicas=2, params=QalsParams(seed=2**64 - 2)).replicas == 2
+
+
 def test_experiment_single_replica_succeeds():
     report = run_experiment(small_spec(replicas=1, params=QalsParams(i_max=400, seed=5)))
     assert report.success_rate == 1.0

@@ -1,6 +1,8 @@
 """RemoteSampler against a loopback test service."""
 
+import copy
 import json
+import pickle
 import threading
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -247,6 +249,17 @@ def test_a_timeout_is_kept_as_a_float():
     for timeout in (Fraction(1, 2), np.float64(0.5), threading.TIMEOUT_MAX):
         kept = RemoteSampler("http://127.0.0.1:1", timeout=timeout).timeout
         assert type(kept) is float and kept == timeout
+
+
+@pytest.mark.parametrize(
+    "rebuild", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+)
+def test_a_sampler_survives_deepcopy_and_pickle(rebuild):
+    # the sampler keeps no module object: requests is imported where it is used
+    with _Service() as svc:
+        twin = rebuild(RemoteSampler(svc.url + "/", timeout=2.5))
+        assert (twin.endpoint, twin.timeout) == (svc.url, 2.5)
+        assert twin.sample(toy_weights(), 2).tolist() == [[1, -1, 1]] * 2
 
 
 def test_dropped_sample_connection_is_a_transport_error(tmp_path):
