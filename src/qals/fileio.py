@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -21,17 +21,16 @@ def parse_qubo_file(text: str) -> QuboProblem:
     """Parse the ``qubo <n>`` instance format.
 
     Body lines are ``i j value`` with 0-based indices, i <= j; omitted pairs
-    are zero and the matrix is completed symmetrically.
+    are zero and the matrix is completed symmetrically. An error names the
+    first offending line; within a line the checks run in the order token
+    count, syntax, finite value, index range, i <= j, duplicate pair.
     """
-    n = None
-    q = None
-    seen = set()
+    q, rows, cols, values = None, [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if n is None:
+        if q is None:
             if len(tokens) != 2 or tokens[0] != "qubo":
                 raise ParseError(f"line {lineno}: expected header 'qubo <n>'")
             try:
@@ -46,39 +45,50 @@ def parse_qubo_file(text: str) -> QuboProblem:
                 raise ParseError(f"line {lineno}: size {n} is too large for an (n, n) matrix") from None
             continue
         if len(tokens) != 3:
-            raise ParseError(f"line {lineno}: expected 'i j value'")
+            raise _first_error(text, rows, cols, values, n, f"line {lineno}: expected 'i j value'")
         try:
-            i, j = int(tokens[0]), int(tokens[1])
-            value = float(tokens[2])
+            i, j, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
         except ValueError:
-            raise ParseError(f"line {lineno}: malformed entry") from None
-        if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite value {tokens[2]!r}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"line {lineno}: index out of range for n={n}")
-        if i > j:
-            raise ParseError(f"line {lineno}: entries must have i <= j")
-        if (i, j) in seen:
-            raise ParseError(f"line {lineno}: duplicate entry ({i}, {j})")
-        seen.add((i, j))
-        q[i, j] = q[j, i] = value
-    if n is None:
+            raise _first_error(text, rows, cols, values, n, f"line {lineno}: malformed entry") from None
+        rows.append(i)
+        cols.append(j)
+        values.append(value)
+    if q is None:
         raise ParseError("missing header line 'qubo <n>'")
+    # min(i) >= 0, max(j) < n and i <= j put every index in range, so in np.intp
+    if rows and not (min(rows) >= 0 and max(cols) < n and all(map(operator.le, rows, cols))):
+        raise _first_error(text, rows, cols, values, n)
+    i, j, v = np.fromiter(rows, np.intp), np.fromiter(cols, np.intp), np.fromiter(values, float)
+    keys = np.sort(i * n + j)  # a pair repeats iff its key does
+    if not np.isfinite(v).all() or (keys[1:] == keys[:-1]).any():
+        raise _first_error(text, rows, cols, values, n)
+    q[i, j] = q[j, i] = v
     return QuboProblem(q)
 
 
+def _first_error(text, rows, cols, values, n, fault=None) -> ParseError:
+    """The error of the first entry that breaks a rule, else ``fault``, that of the line after them."""
+    lines = [(k, t) for k, line in enumerate(text.splitlines(), 1) if (t := line.split("#", 1)[0].split())]
+    seen = set()
+    for (lineno, tokens), i, j, value in zip(lines[1:], rows, cols, values):  # after the header
+        if not math.isfinite(value):
+            return ParseError(f"line {lineno}: non-finite value {tokens[2]!r}")
+        if not (0 <= i < n and 0 <= j < n):
+            return ParseError(f"line {lineno}: index out of range for n={n}")
+        if i > j:
+            return ParseError(f"line {lineno}: entries must have i <= j")
+        if (i, j) in seen:
+            return ParseError(f"line {lineno}: duplicate entry ({i}, {j})")
+        seen.add((i, j))
+    return ParseError(fault)
+
+
 def format_qubo_file(problem: QuboProblem, header_comment: str | None = None) -> str:
-    """Emit an instance in the ``qubo <n>`` format (nonzero upper triangle)."""
-    out = io.StringIO()
-    if header_comment:
-        out.write(f"# {header_comment}\n")
-    out.write(f"qubo {problem.n}\n")
-    for i in range(problem.n):
-        for j in range(i, problem.n):
-            v = float(problem.q[i, j])
-            if v != 0.0:
-                out.write(f"{i} {j} {v!r}\n")
-    return out.getvalue()
+    """Emit the ``qubo <n>`` format (nonzero upper triangle) under one ``# `` line per comment line."""
+    rows, cols = np.nonzero(np.triu(problem.q))  # in row-major order; -0.0 counts as zero
+    comment = "".join(f"# {line}\n" for line in (header_comment or "").splitlines())
+    entries = zip(rows.tolist(), cols.tolist(), problem.q[rows, cols].tolist())
+    return f"{comment}qubo {problem.n}\n" + "".join([f"{i} {j} {v!r}\n" for i, j, v in entries])
 
 
 def load_qubo_file(path) -> QuboProblem:
@@ -95,21 +105,13 @@ def parse_range(text: str) -> tuple[float, float]:
         raise ParseError(f"bad range {text!r}, expected LO:HI") from None
 
 
-_SPEC_KEYS = {
-    "n": int,
-    "density": float,
-    "replicas": int,
-    "backend": str,
-    "graph": str,
-}
+_SPEC_KEYS = {"n": int, "density": float, "replicas": int, "backend": str, "graph": str}
 _PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(QalsParams)}
 
 
 def parse_experiment_config(text: str) -> ExperimentSpec:
     """Parse flat ``key = value`` experiment configuration lines, each key at most once."""
-    spec_kwargs = {}
-    param_kwargs = {}
-    seen = set()
+    spec_kwargs, param_kwargs, seen = {}, {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,8 +119,7 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
@@ -144,7 +145,7 @@ def parse_experiment_config(text: str) -> ExperimentSpec:
 
 
 def solve_report_to_dict(report: SolveReport) -> dict:
-    d = {
+    return {
         "n": report.n,
         "seed": report.seed,
         "z_returned": [int(v) for v in report.z_returned],
@@ -155,9 +156,8 @@ def solve_report_to_dict(report: SolveReport) -> dict:
         "evaluations": report.evaluations,
         "best_found_at": report.best_found_at,
         "tabu_m": report.tabu.m,
+        "trace": report.trace,
     }
-    d["trace"] = report.trace
-    return d
 
 
 def solve_report_to_json(report: SolveReport) -> str:

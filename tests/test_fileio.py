@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qals import ExperimentSpec, random_qubo
+from qals import ExperimentSpec, QuboProblem, random_qubo
 from qals.fileio import (
     ParseError,
     experiment_report_to_csv,
@@ -59,6 +59,10 @@ def test_parse_rejects_bad_header():
         ("qubo 2\n0 1 1.0 2\n", "line 2: expected 'i j value'"),
         ("qubo 2\n0 1 x\n", "line 2: malformed entry"),
         ("qubo 2\n0 1.5 1.0\n", "line 2: malformed entry"),
+        ("qubo 2\n0 1 1.0\n0 1 2.0\n0 1\n", r"line 3: duplicate entry \(0, 1\)"),
+        ("qubo 2\n0 5 1.0\n0 1\n", "line 2: index out of range for n=2"),
+        ("qubo 2\n0 100000000000000000000 1.0\n", "line 2: index out of range for n=2"),
+        ("qubo 2\n0 1 nan\n", "line 2: non-finite value 'nan'"),
     ],
 )
 def test_parse_rejects_malformed_lines(text, match):
@@ -70,6 +74,13 @@ def test_parse_comments_and_blank_lines():
     text = "# instance\nqubo 3\n\n0 2 -1.5  # coupling\n"
     p = parse_qubo_file(text)
     assert p.q[0, 2] == -1.5 and p.q[2, 0] == -1.5
+
+
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\r\nb\n"])
+def test_a_multi_line_comment_is_written_one_comment_line_per_line(comment):
+    text = format_qubo_file(QuboProblem(np.eye(2)), comment)
+    assert text.startswith("# a\n# b\nqubo 2\n")
+    np.testing.assert_array_equal(parse_qubo_file(text).q, np.eye(2))
 
 
 def test_roundtrip_is_bit_exact():

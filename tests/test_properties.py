@@ -7,7 +7,8 @@ those results back through the public constructor, which must accept them;
 rejects or folds.
 Every weight matrix those makers accept, up to the weight bound, gives every
 local sampler finite energies and spin rows. The instance file format
-round-trips every matrix ``QuboProblem`` accepts exactly.
+round-trips every matrix ``QuboProblem`` accepts exactly, under any header
+comment.
 """
 
 import sys
@@ -187,4 +188,5 @@ def test_qubo_file_roundtrip_is_exact(data):
     widest = _WEIGHT_SUM_LIMIT / (2 * n * n)  # every such Q is within the weight bound
     q = symmetric(data.draw, n, elements=st.floats(-widest, widest))
     problem = QuboProblem(q)
-    np.testing.assert_array_equal(parse_qubo_file(format_qubo_file(problem)).q, problem.q)
+    comment = data.draw(st.none() | st.text())
+    np.testing.assert_array_equal(parse_qubo_file(format_qubo_file(problem, comment)).q, problem.q)
