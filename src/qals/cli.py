@@ -41,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="minimize a QUBO instance file")
+    p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("file")
     p_solve.add_argument("--graph", default=ExperimentSpec.graph,
                          help="complete | chimera:<m> | file:<path>")
@@ -56,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the full report as JSON")
 
     p_gen = sub.add_parser("gen", help="emit a random instance to stdout")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--density", type=float, default=ExperimentSpec.density)
     p_gen.add_argument("--range", default="{}:{}".format(*ExperimentSpec.coeff_range),
@@ -63,9 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
 
     p_oracle = sub.add_parser("oracle", help="brute-force minimum of an instance file")
+    p_oracle.set_defaults(run=_cmd_oracle)
     p_oracle.add_argument("file")
 
     p_bench = sub.add_parser("bench", help="run a replicated experiment")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument("config", help="key = value experiment configuration file")
     p_bench.add_argument("--csv", help="also write per-replica rows to this file")
     return parser
@@ -120,14 +124,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "gen": _cmd_gen,
-    "oracle": _cmd_oracle,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -135,7 +131,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SamplerError as exc:
         print(f"qals: sampler error: {exc}", file=sys.stderr)
         return 2

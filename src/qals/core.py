@@ -280,12 +280,8 @@ class SolveReport:
 
 
 def objective(problem: QuboProblem, z: np.ndarray) -> float:
-    """Evaluate f(z) = z^T Q z. Only the length of ``z`` is checked: ``solve`` calls this
-    on every evaluated candidate, a row ``_checked_spins`` has already checked."""
-    z = np.asarray(z)
-    if z.shape != (problem.n,):
-        raise ValueError(f"spin vector has length {z.size}, problem expects {problem.n}")
-    zf = z.astype(np.float64)
+    """Evaluate f(z) = z^T Q z on spins ``z`` (``_checked_spins``)."""
+    zf = _checked_spins(z, (problem.n,), "problem expects").astype(np.float64)
     return float(zf @ problem.q @ zf)
 
 

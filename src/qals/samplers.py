@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _weight_sum, energies, energy
+from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _weight_sum, energies
 from .topology import _check_real, _integer
 
 ENUMERATION_LIMIT = 24
@@ -149,14 +149,14 @@ def exact_minimizers(theta: WeightMatrix) -> tuple[np.ndarray, float]:
     """Enumerate the full minimizer set of the energy landscape.
 
     Returns ``enumerate_minima``'s indices as spin rows, in lexicographic
-    order, and the minimum energy scored as ``energy(theta, minimizers[0])``.
+    order, and the minimum energy, ``energies`` of the first row.
     A state is a minimizer when it is within ``enumerate_minima``'s rounding
     slack of the minimum, so exactly tied states are never split by
     summation order. Only valid up to the enumeration limit.
     """
     _check_enumerable(theta.n)
     minimizers = spins_at(theta.n, enumerate_minima(theta.theta))
-    return minimizers, energy(theta, minimizers[0])
+    return minimizers, float(energies(theta.theta, minimizers[:1])[0])
 
 
 @dataclass
@@ -413,7 +413,8 @@ class RemoteSampler:
     be a real number (not a bool, a string or None) with ``0 < timeout <=
     threading.TIMEOUT_MAX``, the longest wait Python can time, else
     ``ValueError`` from the constructor; it is kept as a float. Its own errors:
-    transport ``TransportError``; bad status, JSON, energies or ``/info``
+    any ``OSError`` from the transport (``requests.RequestException`` is one)
+    ``TransportError``; bad status, JSON, energies or ``/info``
     (``max_nodes`` >= 1) ``MalformedResponseError``. ``requests`` is imported
     when the first sampler is built, not with this module, so local runs never
     load the HTTP stack.
@@ -432,11 +433,9 @@ class RemoteSampler:
 
     def info(self) -> dict:
         if self._info is None:
-            import requests
-
             try:
                 r = self._session.get(f"{self.endpoint}/info", timeout=self.timeout)
-            except requests.RequestException as exc:
+            except OSError as exc:
                 raise TransportError(f"cannot reach {self.endpoint}/info: {exc}") from exc
             self._info = self._parse_info(r)
         return self._info
@@ -503,11 +502,9 @@ class RemoteSampler:
             "couplings": couplings,
             "num_reads": k,
         }
-        import requests
-
         try:
             r = self._session.post(f"{self.endpoint}/sample", json=request, timeout=self.timeout)
-        except requests.RequestException as exc:
+        except OSError as exc:
             raise TransportError(f"cannot reach {self.endpoint}/sample: {exc}") from exc
         if r.status_code != 200:
             raise MalformedResponseError(f"sample returned status {r.status_code}")

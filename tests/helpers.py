@@ -41,6 +41,8 @@ def bad_spins(shape: tuple) -> list:
         ("str", np.full(shape, "1"), numbers),
         ("ragged", np.ones(shape, dtype=int).tolist()[:-1] + [longer_row], "entries that form no array"),
         ("extra axis", np.ones((1, *shape), dtype=np.int8), re.escape(f"shape {(1, *shape)}")),
+        ("half", _with_last(shape, float, 0.5), spins),
+        ("three", _with_last(shape, int, 3), spins),
         ("zero", _with_last(shape, np.int8, 0), spins),
         ("two", _with_last(shape, np.int8, 2), spins),
         ("int8 -128", _with_last(shape, np.int8, -128), spins),

@@ -71,7 +71,7 @@ def test_objective_matches_enumeration_oracle():
 
 def test_objective_dimension_mismatch():
     p = QuboProblem(np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^spin vector has length 2, problem expects 3$"):
         objective(p, np.array([1, -1]))
 
 
@@ -560,6 +560,7 @@ SPIN_ENTRY_POINTS = {
     "tabu_update": lambda z: tabu_update(TabuMatrix.zeros(2), z),
     "decode": lambda z: decode(z, np.array([1, 0])),
     "energy": lambda z: energy(weights(np.eye(2), complete_graph(2)), z),
+    "objective": lambda z: objective(QuboProblem(np.eye(2)), z),
 }
 
 

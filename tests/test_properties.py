@@ -8,9 +8,12 @@ rejects or folds.
 Every weight matrix those makers accept, up to the weight bound, gives every
 local sampler finite energies and spin rows. The instance file format
 round-trips every matrix ``QuboProblem`` accepts exactly, under any header
-comment.
+comment. And under the suite's warning filters a failing property reports
+its falsifying example.
 """
 
+import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -190,3 +193,28 @@ def test_qubo_file_roundtrip_is_exact(data):
     problem = QuboProblem(q)
     comment = data.draw(st.none() | st.text())
     np.testing.assert_array_equal(parse_qubo_file(format_qubo_file(problem, comment)).q, problem.q)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # on a failure hypothesis's pytest plugin imports more modules, whose import
+    # warnings must not turn the report into an INTERNALERROR; run from tmp_path,
+    # without the cache plugin, so nothing is written into the repository
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output

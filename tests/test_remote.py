@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from qals import (
     CapacityError,
@@ -255,7 +256,7 @@ def test_a_timeout_is_kept_as_a_float():
     "rebuild", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
 )
 def test_a_sampler_survives_deepcopy_and_pickle(rebuild):
-    # the sampler keeps no module object: requests is imported where it is used
+    # the sampler keeps no module object: requests is imported in the constructor, not kept
     with _Service() as svc:
         twin = rebuild(RemoteSampler(svc.url + "/", timeout=2.5))
         assert (twin.endpoint, twin.timeout) == (svc.url, 2.5)
@@ -271,6 +272,22 @@ def test_dropped_sample_connection_is_a_transport_error(tmp_path):
         assert sampler.info()["max_nodes"] == 16
         with pytest.raises(TransportError, match="/sample"):
             sampler.sample(toy_weights(), 1)
+        assert main(["solve", str(path), "--sampler", f"remote:{svc.url}"]) == 2
+
+
+@pytest.mark.parametrize("method, endpoint", [("get", "/info"), ("post", "/sample")])
+def test_any_os_error_from_the_session_is_a_transport_error(method, endpoint, monkeypatch, tmp_path):
+    # not only requests.RequestException, which derives from OSError: a plain
+    # OSError is a transport failure too, so the CLI exits 2, not 1
+    def refuse(self, url, **kwargs):
+        raise OSError("no route")
+
+    monkeypatch.setattr(requests.Session, method, refuse)
+    path = tmp_path / "pair.qubo"
+    path.write_text("qubo 3\n0 1 1.0\n")
+    with _Service() as svc:
+        with pytest.raises(TransportError, match=f"^cannot reach {svc.url}{endpoint}: no route$"):
+            RemoteSampler(svc.url).sample(toy_weights(), 1)
         assert main(["solve", str(path), "--sampler", f"remote:{svc.url}"]) == 2
 
 
