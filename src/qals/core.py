@@ -110,7 +110,8 @@ class WeightMatrix:
     Invariant of every instance, which is frozen: ``theta`` is a read-only,
     finite, exactly symmetric float64 (n, n) array with ``sum|theta| <=
     _WEIGHT_SUM_LIMIT`` (so no energy is inf or NaN), and its couplings
-    vanish wherever ``graph.adjacency_mask`` (derived from the edges) is 0.
+    vanish wherever ``graph.adjacency_mask`` (the graph's bool array of
+    n² bytes, derived from the edges) is False.
     The public constructor checks it on a read-only copy of ``theta``.
     ``_trusted`` skips the checks and marks ``theta`` and ``placement``
     read-only; it is only for code that makes the invariant true itself:
@@ -131,7 +132,7 @@ class WeightMatrix:
 
     def __post_init__(self):
         theta = _checked_symmetric(self.theta, "weight matrix", "sum|weights|", self.graph.n)
-        off_support = (self.graph.adjacency_mask == 0) & (theta != 0.0)
+        off_support = ~self.graph.adjacency_mask & (theta != 0.0)
         if off_support.any():
             raise ValueError("weight matrix has couplings outside the edge set")
         object.__setattr__(self, "theta", theta)
@@ -363,8 +364,10 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     """Map a symmetric coefficient matrix onto the hardware graph.
 
     Logical variable i is assigned to qubit sigma[i]; entries landing outside
-    the edge set are masked away by ``graph.adjacency_mask``, which the graph
-    derives from its edges (its unit diagonal keeps every bias).
+    the edge set are zeroed by a multiply with ``graph.adjacency_mask``, the
+    bool array of n² bytes that the graph derives from its edges (its True
+    diagonal keeps every bias). A complete graph is not masked: its mask is
+    all True, so the multiply would leave every bit as it is.
 
     This is the checked boundary: ``qprime`` must be (n, n), finite and
     symmetric (off-edge entries included), with ``sum|qprime|`` within the
@@ -389,13 +392,16 @@ def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     ``WeightMatrix``'s checks, because they hold by construction: placing a
     symmetric matrix under a permutation keeps it symmetric and finite and
     its sum, and the multiply by the mask zeroes every coupling outside the
-    edge set (the mask is 1 off the diagonal exactly on the edges), which
-    can only shrink the sum.
+    edge set (the mask is True off the diagonal exactly on the edges), which
+    can only shrink the sum. The multiply runs only when the graph lacks an
+    edge: on a complete graph it is the identity, bit for bit, and skipping
+    it also skips the mask's cast to float64.
     """
     n = graph.n
     theta = np.empty((n, n), dtype=np.float64)  # every entry is written below
     theta[sigma[:, None], sigma] = qprime
-    theta *= graph.adjacency_mask
+    if 2 * graph.num_edges < n * (n - 1):
+        theta *= graph.adjacency_mask
     return WeightMatrix._trusted(theta, graph, sigma)
 
 

@@ -79,13 +79,13 @@ class TopologyGraph:
 
     @cached_property
     def adjacency_mask(self) -> np.ndarray:
-        """Read-only float64 (n, n) array, derived from the edges on first use:
-        1 on every edge in both orientations and on the diagonal (so that
-        encoding keeps linear bias terms), 0 elsewhere."""
-        mask = np.eye(self.n, dtype=np.float64)
+        """Read-only bool (n, n) array of n² bytes, derived from the edges on
+        first use: True on every edge in both orientations and on the
+        diagonal (so that encoding keeps linear bias terms), False elsewhere."""
+        mask = np.eye(self.n, dtype=bool)
         if self.edges:
             rows, cols = zip(*self.edges)
-            mask[rows, cols] = mask[cols, rows] = 1.0
+            mask[rows, cols] = mask[cols, rows] = True
         mask.flags.writeable = False
         return mask
 

@@ -4,7 +4,10 @@
 without ``WeightMatrix``'s or ``TabuMatrix``'s checks. Each property passes
 those results back through the public constructor, which must accept them;
 ``tabu_update`` gets candidates of any dtype and shape, which the spin rule
-rejects or folds.
+rejects or folds. Placement gives the bits of a float64 mask multiply, on
+every graph, the complete ones included.
+Under a gauge ``g`` in {-1,+1}^n the enumerator, the exact sampler, range
+scaling and the tabu fold are equivariant, bit for bit.
 Every weight matrix those makers accept, up to the weight bound, gives every
 local sampler finite energies and spin rows. The instance file format
 round-trips every matrix ``QuboProblem`` accepts exactly, under any header
@@ -39,8 +42,9 @@ from qals import (
     scale_to_ranges,
     tabu_update,
 )
-from qals.core import _WEIGHT_SUM_LIMIT
+from qals.core import _WEIGHT_SUM_LIMIT, _place
 from qals.fileio import format_qubo_file, parse_qubo_file
+from qals.samplers import enumerate_minima, spins_at
 
 MAX_N = 10
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
@@ -102,6 +106,35 @@ def test_encode_output_passes_the_public_checks(data):
     y = np.empty(n, dtype=np.int8)
     y[sigma] = z
     np.testing.assert_array_equal(decode(y, sigma), z)
+
+
+@st.composite
+def placement_graphs(draw, max_n=MAX_N):
+    """Complete graphs, which are not masked, and graphs that lack an edge."""
+    kind = draw(st.sampled_from(["complete", "complete less one edge", "ring", "chimera:1"]))
+    if kind == "chimera:1":
+        return chimera_graph(1)
+    if kind == "ring":
+        n = draw(st.integers(3, max_n))
+        return TopologyGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    complete = complete_graph(draw(st.integers(1 if kind == "complete" else 2, max_n)))
+    if kind == "complete":
+        return complete
+    missing = draw(st.sampled_from(sorted(complete.edges)))
+    return TopologyGraph(complete.n, complete.edges - {missing})
+
+
+@given(st.data())
+def test_placement_has_the_bits_of_a_float_mask_multiply(data):
+    graph = data.draw(placement_graphs())
+    n = graph.n
+    q = symmetric(data.draw, n)  # signed zeros included: the multiply keeps their signs
+    sigma = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    placed = np.empty((n, n))
+    placed[sigma[:, None], sigma] = q
+    theta = _place(q, sigma.copy(), graph)
+    assert theta.theta.tobytes() == (placed * graph.adjacency_mask.astype(np.float64)).tobytes()
+    np.testing.assert_array_equal(theta.placement, sigma)
 
 
 @given(st.data())
@@ -183,6 +216,68 @@ def test_every_accepted_weight_matrix_gives_every_sampler_spin_rows(data):
             assert rows.shape == (3, n) and np.isin(rows, [-1, 1]).all()
             best = estimate_argmin(sampler, theta, 3, np.random.default_rng(1))
             assert np.isin(best, [-1, 1]).all() and np.isfinite(energy(theta, best))
+
+
+def gauge(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gauge map: ``w_ij -> g_i g_j w_ij`` off the diagonal and ``w_ii -> g_i w_ii``."""
+    out = w * np.outer(g, g)
+    out[np.diag_indices_from(out)] = np.diagonal(w) * g
+    return out
+
+
+one_decimal = st.integers(-20, 20).map(lambda k: k / 10)  # ties and exact zeros are common
+
+
+@st.composite
+def gauged_weights(draw, max_n=MAX_N):
+    """Weights on a drawn graph and a gauge for them."""
+    graph = draw(graphs(max_n))
+    q = symmetric(draw, graph.n, elements=draw(st.sampled_from([finite, one_decimal])))
+    return WeightMatrix(q * graph.adjacency_mask, graph), spins(draw, graph.n)
+
+
+def as_rows(z: np.ndarray) -> set:
+    return {tuple(row) for row in z.tolist()}
+
+
+@given(gauged_weights())
+def test_the_minimizers_of_gauged_weights_are_the_gauged_minimizers(case):
+    theta, g = case
+    n = theta.n
+    found = spins_at(n, enumerate_minima(theta.theta))
+    assert as_rows(spins_at(n, enumerate_minima(gauge(theta.theta, g)))) == as_rows(found * g)
+
+
+@given(gauged_weights())
+def test_the_exact_sampler_returns_gauged_rows_on_a_one_state_landscape(case):
+    theta, g = case
+    assume(enumerate_minima(theta.theta).size == 1)  # a tie set is drawn in an order g permutes
+    gauged = WeightMatrix(gauge(theta.theta, g), theta.graph)
+    rng, gauged_rng = np.random.default_rng(0), np.random.default_rng(0)
+    rows = ExactSampler().sample(theta, 3, rng)
+    np.testing.assert_array_equal(ExactSampler().sample(gauged, 3, gauged_rng), rows * g)
+    assert gauged_rng.bit_generator.state == rng.bit_generator.state
+
+
+@given(gauged_weights(), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_range_scaling_commutes_with_a_gauge(case, delta, gamma):
+    theta, g = case
+    gauged = WeightMatrix(gauge(theta.theta, g), theta.graph)
+    scaled = scale_to_ranges(theta, delta, gamma).theta
+    assert scale_to_ranges(gauged, delta, gamma).theta.tobytes() == gauge(scaled, g).tobytes()
+
+
+@given(st.data())
+def test_the_tabu_fold_commutes_with_a_gauge(data):
+    n = data.draw(st.integers(1, MAX_N))
+    s = TabuMatrix.zeros(n)
+    for _ in range(data.draw(st.integers(0, 5))):
+        s = tabu_update(s, spins(data.draw, n))
+    z, g = spins(data.draw, n), spins(data.draw, n)
+    gauged = tabu_update(TabuMatrix(gauge(s.s, g), s.m), g * z)
+    expected = gauge(tabu_update(s, z).s, g)
+    assert gauged.m == s.m + 1 and gauged.s.dtype == expected.dtype
+    np.testing.assert_array_equal(gauged.s, expected)
 
 
 @given(st.data())

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ def test_graphs_compare_by_node_count_and_edges():
     assert TopologyGraph(3, []) != TopologyGraph(4, [])
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [complete_graph(5), chimera_graph(2), parse_edge_list("n 4\n0 1\n2 3\n")],
+    ids=["complete", "chimera", "edge list"],
+)
+def test_adjacency_mask_is_a_read_only_bool_array_of_one_byte_per_pair(graph):
+    mask = graph.adjacency_mask
+    assert mask.dtype == bool and mask.nbytes == graph.n * graph.n
+    assert not mask.flags.writeable
+
+
+def test_deriving_a_large_mask_allocates_one_byte_per_pair():
+    g = chimera_graph(16)  # 2048 nodes: a float64 mask would peak at 8 n**2 bytes
+    tracemalloc.start()
+    try:
+        g.adjacency_mask
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.n**2
+
+
 def test_adjacency_mask_is_derived_and_read_only():
     g = TopologyGraph(3, [(0, 1)])
     np.testing.assert_array_equal(g.adjacency_mask, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
@@ -222,7 +245,7 @@ def test_load_edge_list_reads_a_file_as_parse_edge_list_reads_its_text(tmp_path)
 
 
 # A graph of 10**9 nodes costs its edges only: a dense (n, n) mask would need
-# 8 EB. Its mask and colour classes are never asked for here.
+# 1 EB. Its mask and colour classes are never asked for here.
 HUGE = 10**9
 
 
