@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .topology import TopologyGraph, _check_real, _integer
+from .topology import TopologyGraph, _integer, _real
 
 SPIN_DTYPE = np.int8
 
@@ -44,20 +44,11 @@ def _checked_spins(values, shape=None, expects: str = "expected", error=ValueErr
     return z.astype(SPIN_DTYPE)
 
 
-def as_spins(values) -> np.ndarray:
-    """``values`` as an int8 spin vector of its own length, at least 1, by ``_checked_spins``."""
-    return _checked_spins(values)
-
-
 def is_permutation(sigma: np.ndarray) -> bool:
     sigma = np.asarray(sigma)
     if sigma.dtype.kind not in "iu":  # a float sigma cannot index, a boolean one indexes as a mask
         return False
     return sigma.ndim == 1 and bool((np.sort(sigma) == np.arange(sigma.size)).all())
-
-
-def identity_permutation(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)
 
 
 def _checked_symmetric(a, name: str, total: str, n: int | None = None) -> np.ndarray:
@@ -169,7 +160,7 @@ class TabuMatrix:
 
     ``m`` counts accumulated candidates; every entry has absolute value at
     most ``m`` and the same parity as ``m``. The public constructor checks
-    all of that (``m`` a non-negative integer, ``s`` a square, symmetric
+    all of that (``m`` a non-negative integer below 2**63, ``s`` a square, symmetric
     array of an integer dtype) and keeps a read-only int64 copy of ``s``;
     copies and pickles are rebuilt through it. ``_trusted`` skips the check
     and is only for ``_fold`` (``tabu_init``, ``tabu_update``), whose result
@@ -181,6 +172,8 @@ class TabuMatrix:
 
     def __post_init__(self):
         m = _integer(self.m, "tabu count m", 0)
+        if m >= 2**63:  # below it, every entry in [-m, m] fits in int64
+            raise ValueError("tabu count m must be below 2**63")
         s = np.asarray(self.s)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("tabu matrix must be square")
@@ -237,7 +230,7 @@ class QalsParams:
 
     def __post_init__(self):
         for name in ("p_delta", "eta", "q", "lambda0"):
-            _check_real(getattr(self, name), name)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 < self.p_delta < 0.5:
             raise ValueError("p_delta must lie in (0, 0.5)")
         if not 0.0 < self.eta < 1.0:
@@ -343,7 +336,7 @@ def energy(theta: WeightMatrix, z: np.ndarray) -> float:
 
 def tabu_init(z: np.ndarray) -> TabuMatrix:
     """Start a tabu matrix from one rejected candidate: one update of the zero matrix."""
-    z = as_spins(z)
+    z = _checked_spins(z)
     return _fold(TabuMatrix.zeros(z.size), z)
 
 
@@ -355,6 +348,8 @@ def tabu_update(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
 def _fold(s: TabuMatrix, z: np.ndarray) -> TabuMatrix:
     """``tabu_update`` on a checked int8 ``z``, built unchecked: ``s.s`` (int64) and the term are
     symmetric, and each term entry is -1 or +1, so the sum keeps the invariant for m + 1."""
+    if s.m >= 2**63 - 1:  # m + 1 must stay below 2**63, as the constructor asks
+        raise ValueError("tabu count m must be below 2**63")
     term = np.outer(z, z)  # z (x) z - I + diag(z): off-diagonal z_i z_j, diagonal z_i
     np.fill_diagonal(term, z)
     return TabuMatrix._trusted(s.s + term, s.m + 1)

@@ -20,12 +20,12 @@ from .samplers import (
     spins_at,
 )
 from .solver import reraise_with_context, solve
-from .topology import TopologyGraph, _check_real, _integer, chimera_graph, complete_graph, load_edge_list
+from .topology import TopologyGraph, _integer, _real, chimera_graph, complete_graph, load_edge_list
 
 
-def check_instance_args(n, density: float, coeff_range: tuple) -> int:
+def check_instance_args(n, density: float, coeff_range: tuple) -> tuple[int, float, tuple]:
     """The one rule for ``random_qubo``'s arguments, also applied by
-    ``ExperimentSpec``; returns ``n`` as a Python int.
+    ``ExperimentSpec``; returns ``(n, density, (lo, hi))`` as an int and floats.
 
     ``n`` is an integer >= 1, ``density`` a real in [0, 1], and the range a
     pair of reals ``lo < hi`` with ``n**2 * max(|lo|, |hi|) <= _WEIGHT_SUM_LIMIT``,
@@ -34,25 +34,24 @@ def check_instance_args(n, density: float, coeff_range: tuple) -> int:
     ``ValueError``.
     """
     n = _integer(n, "n", 1)
-    _check_real(density, "density")
+    density = _real(density, "density")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     try:
         lo, hi = coeff_range
     except (TypeError, ValueError):
         raise ValueError(f"coefficient range {coeff_range!r} is not a pair of bounds") from None
-    _check_real(lo, "coefficient range bound")
-    _check_real(hi, "coefficient range bound")
+    lo, hi = _real(lo, "coefficient range bound"), _real(hi, "coefficient range bound")
     if not lo < hi:
         raise ValueError("coefficient range must be a nonempty interval")
     widest = max(abs(lo), abs(hi))
     # in rationals, so that neither a huge n nor a huge bound can overflow
-    if not (widest <= _WEIGHT_SUM_LIMIT and n * n * Fraction(float(widest)) <= _WEIGHT_SUM_LIMIT):
+    if not (widest <= _WEIGHT_SUM_LIMIT and n * n * Fraction(widest) <= _WEIGHT_SUM_LIMIT):
         raise ValueError(
             f"coefficient range {lo}:{hi} is too wide for n = {n}: n^2 * max(|lo|, |hi|) "
             f"is above the limit {_WEIGHT_SUM_LIMIT:.3g} for finite energies"
         )
-    return n
+    return n, density, (lo, hi)
 
 
 def random_qubo(
@@ -61,8 +60,7 @@ def random_qubo(
     """Random symmetric instance: each off-diagonal pair kept with
     probability ``density``, all values uniform over ``coeff_range``.
     Arguments are checked by ``check_instance_args``."""
-    n = check_instance_args(n, density, coeff_range)
-    lo, hi = coeff_range
+    n, density, (lo, hi) = check_instance_args(n, density, coeff_range)
     diag = rng.uniform(lo, hi, size=n)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < density
@@ -99,9 +97,9 @@ class ExperimentSpec:
     A single random instance is generated from ``params.seed``; replica r
     then solves it with seed ``params.seed + r``, so the last of these must
     still fit in an unsigned 64-bit integer, as ``QalsParams`` asks of every
-    seed. The instance arguments follow ``check_instance_args``; ``backend``
-    and ``graph`` are selector strings and ``params`` a ``QalsParams``;
-    backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
+    seed. The instance arguments follow ``check_instance_args`` and are kept
+    as it returns them; ``backend`` and ``graph`` are selector strings and
+    ``params`` a ``QalsParams``; backend ``exact`` needs ``n <= ENUMERATION_LIMIT``.
     """
 
     n: int
@@ -113,7 +111,9 @@ class ExperimentSpec:
     params: QalsParams = field(default_factory=QalsParams)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_instance_args(self.n, self.density, self.coeff_range))
+        args = check_instance_args(self.n, self.density, self.coeff_range)
+        for name, value in zip(("n", "density", "coeff_range"), args):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "replicas", _integer(self.replicas, "replicas", 1))
         for name, kind in (("backend", str), ("graph", str), ("params", QalsParams)):
             if not isinstance(getattr(self, name), kind):

@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _weight_sum, energies
-from .topology import _check_real, _integer
+from .topology import _integer, _real
 
 ENUMERATION_LIMIT = 24
 _BLOCK_BITS = 18  # states per enumeration block: 2**18
@@ -356,8 +356,7 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     bound can break, as the ranges may be as wide as the largest float, so the
     result is checked against it (``ValueError``, ``sum|weights| is ...``).
     """
-    _check_real(delta, "delta")
-    _check_real(gamma, "gamma")
+    delta, gamma = _real(delta, "delta"), _real(gamma, "gamma")
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
         raise ValueError("range bounds must be positive and finite")
     weights = theta.theta
@@ -421,11 +420,11 @@ class RemoteSampler:
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
-        _check_real(timeout, "timeout")
+        timeout = _real(timeout, "timeout")
         if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail here
             raise ValueError(f"timeout {timeout!r} is not in (0, {threading.TIMEOUT_MAX}] seconds")
         self.endpoint = endpoint.rstrip("/")
-        self.timeout = float(timeout)
+        self.timeout = timeout
         self._info = None
         import requests  # not at module top (class docstring), nor on self: a module does not pickle
 

@@ -22,7 +22,6 @@ from .core import (
     _weight_sum,
     decode,  # unused; kept because perfbench's assert_untraced() reads it from qals.solver
     encode,  # unused; kept because perfbench's assert_untraced() reads it from qals.solver
-    identity_permutation,
     objective,
     tabu_init,
     tabu_update,
@@ -158,7 +157,7 @@ def solve(
         except SamplerError as exc:
             reraise_with_context(exc, f"during {phase}")
 
-    ident = identity_permutation(n)
+    ident = np.arange(n, dtype=np.int64)
     sigma1 = modify_permutation(ident, 1.0, perm_rng)
     sigma2 = modify_permutation(ident, 1.0, perm_rng)
     z1 = anneal(problem.q, sigma1, "initialization")

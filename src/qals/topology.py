@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -20,10 +20,14 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return int(value)
 
 
-def _check_real(value, what: str) -> None:
-    """Reject ``value`` unless it is a real number; a bool or string is not."""
+def _real(value, what: str) -> float:
+    """The real rule: a real ``value`` (not a bool) that fits in a float, as a Python float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} {value!r} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,6 @@ class TopologyGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, i: int) -> int:
-        i = _integer(i, "node")
-        if i not in range(self.n):
-            raise ValueError(f"node {i} out of range for {self.n} nodes")
-        return self._degrees[i]
-
-    @cached_property
-    def _degrees(self) -> Counter:
-        """Edge endpoints counted once per graph: no n-sized array at any n."""
-        return Counter(node for edge in self.edges for node in edge)
 
     @cached_property
     def adjacency_mask(self) -> np.ndarray:

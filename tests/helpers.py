@@ -5,6 +5,7 @@ import re
 import numpy as np
 
 from qals.core import TabuMatrix, is_permutation
+from qals.topology import TopologyGraph
 
 
 def conjugate_tabu(s: TabuMatrix, sigma: np.ndarray) -> TabuMatrix:
@@ -19,6 +20,11 @@ def conjugate_tabu(s: TabuMatrix, sigma: np.ndarray) -> TabuMatrix:
     out = np.zeros_like(s.s)
     out[np.ix_(sigma, sigma)] = s.s
     return TabuMatrix(out, m=s.m)
+
+
+def degrees(graph: TopologyGraph) -> np.ndarray:
+    """The degree of every node, counted over the endpoints of ``graph.edges``."""
+    return np.bincount(np.array(list(graph.edges), dtype=np.int64).ravel(), minlength=graph.n)
 
 
 def _with_last(shape, dtype, value):

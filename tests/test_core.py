@@ -3,8 +3,10 @@
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,10 +31,12 @@ from qals import (
     estimate_argmin,
     objective,
     scale_to_ranges,
+    solve,
     tabu_init,
     tabu_update,
 )
-from qals.core import _WEIGHT_SUM_LIMIT, _place, as_spins, is_permutation
+from qals.core import _WEIGHT_SUM_LIMIT, _checked_spins, _place, is_permutation
+from qals.fileio import solve_report_to_json
 from qals.harness import check_instance_args
 
 from helpers import bad_spins, conjugate_tabu
@@ -115,7 +119,7 @@ def test_energy_additivity():
         b = rng.normal(size=(5, 5))
         a = a + a.T
         b = b + b.T
-        z = as_spins(rng.choice([-1, 1], size=5))
+        z = _checked_spins(rng.choice([-1, 1], size=5))
         total = energy(weights(a + b, g), z)
         assert total == pytest.approx(
             energy(weights(a, g), z) + energy(weights(b, g), z), rel=1e-12
@@ -236,7 +240,7 @@ def test_tabu_update_on_zero_equals_init():
 
 def test_tabu_update_opposite_candidates():
     rng = np.random.default_rng(5)
-    z = as_spins(rng.choice([-1, 1], size=6))
+    z = _checked_spins(rng.choice([-1, 1], size=6))
     s = tabu_update(tabu_init(z), -z)
     np.testing.assert_array_equal(np.diagonal(s.s), np.zeros(6, dtype=int))
     expected_off = 2 * np.outer(z, z)
@@ -273,11 +277,21 @@ def test_tabu_matrix_rejects_a_non_square_or_asymmetric_s(s, match):
         ([[0]], -3, "tabu count m must be at least 0"),
         ([[0]], 2.0, "tabu count m 2.0 is not an integer"),
         ([[0]], True, "tabu count m True is not an integer"),
+        # as int64 the entry 2**63 would wrap to -2**63
+        (np.array([[2**63]], dtype=np.uint64), 2**63, r"tabu count m must be below 2\*\*63"),
     ],
 )
 def test_tabu_matrix_checks_its_invariant(s, m, match):
     with pytest.raises(ValueError, match=match):
         TabuMatrix(s, m)
+
+
+def test_a_tabu_update_at_the_top_count_is_refused():
+    # m + 1 = 2**63 breaks the constructor's bound, and the entry 2**63 - 1 + 1 would wrap
+    top = TabuMatrix(np.array([[2**63 - 1]], dtype=np.uint64), 2**63 - 1)
+    assert top.s[0, 0] == 2**63 - 1
+    with pytest.raises(ValueError, match=r"^tabu count m must be below 2\*\*63$"):
+        tabu_update(top, np.array([1]))
 
 
 @REBUILDS
@@ -323,7 +337,7 @@ def test_tabu_recursion_equals_closed_form():
     for _ in range(25):
         n = int(rng.integers(1, 17))
         count = int(rng.integers(1, 51))
-        zs = [as_spins(rng.choice([-1, 1], size=n)) for _ in range(count)]
+        zs = [_checked_spins(rng.choice([-1, 1], size=n)) for _ in range(count)]
         s = TabuMatrix.zeros(n)
         for z in zs:
             s = tabu_update(s, z)
@@ -339,7 +353,7 @@ def test_tabu_parity_and_bound_invariants():
     rng = np.random.default_rng(9)
     s = TabuMatrix.zeros(5)
     for _ in range(40):
-        s = tabu_update(s, as_spins(rng.choice([-1, 1], size=5)))
+        s = tabu_update(s, _checked_spins(rng.choice([-1, 1], size=5)))
         assert np.all(np.abs(s.s) <= s.m)
         assert np.all(s.s % 2 == s.m % 2)
         np.testing.assert_array_equal(s.s, s.s.T)
@@ -364,7 +378,7 @@ def test_conjugate_roundtrip_via_inverse():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(1, 9))
-        s = tabu_init(as_spins(rng.choice([-1, 1], size=n)))
+        s = tabu_init(_checked_spins(rng.choice([-1, 1], size=n)))
         sigma = rng.permutation(n)
         inverse = np.argsort(sigma)
         back = conjugate_tabu(conjugate_tabu(s, sigma), inverse)
@@ -377,7 +391,7 @@ def test_conjugation_identity_on_candidate_lists():
     for _ in range(20):
         n = int(rng.integers(2, 17))
         sigma = rng.permutation(n)
-        zs = [as_spins(rng.choice([-1, 1], size=n)) for _ in range(int(rng.integers(1, 20)))]
+        zs = [_checked_spins(rng.choice([-1, 1], size=n)) for _ in range(int(rng.integers(1, 20)))]
         direct = TabuMatrix.zeros(n)
         mapped = TabuMatrix.zeros(n)
         for z in zs:
@@ -474,7 +488,7 @@ def test_encode_decode_roundtrip_random():
     for _ in range(30):
         n = int(rng.integers(1, 9))
         sigma = rng.permutation(n)
-        z = as_spins(rng.choice([-1, 1], size=n))
+        z = _checked_spins(rng.choice([-1, 1], size=n))
         y = np.empty(n, dtype=np.int8)
         y[sigma] = z
         np.testing.assert_array_equal(decode(y, sigma), z)
@@ -509,7 +523,7 @@ def test_encoding_invariance_on_complete_graph():
     g = complete_graph(6)
     q = rng.integers(-5, 6, size=(6, 6)).astype(float)
     q = q + q.T
-    z = as_spins(rng.choice([-1, 1], size=6))
+    z = _checked_spins(rng.choice([-1, 1], size=6))
     reference = None
     for _ in range(20):
         sigma = rng.permutation(6)
@@ -547,15 +561,15 @@ def test_non_finite_coefficients_rejected(bad):
 
 def test_spin_validation():
     with pytest.raises(ValueError):
-        as_spins(np.array([1, 0, -1]))
+        _checked_spins(np.array([1, 0, -1]))
     with pytest.raises(ValueError):
-        as_spins(np.array([[1], [-1]]))
+        _checked_spins(np.array([[1], [-1]]))
 
 
 # One table of bad spin inputs for every entry point of the spin rule: each is a
 # ValueError, or a SampleShapeError for sampler rows, with the rule's one message.
 SPIN_ENTRY_POINTS = {
-    "as_spins": as_spins,
+    "as_spins": _checked_spins,  # the rule itself, on a vector of its own length
     "tabu_init": tabu_init,
     "tabu_update": lambda z: tabu_update(TabuMatrix.zeros(2), z),
     "decode": lambda z: decode(z, np.array([1, 0])),
@@ -688,7 +702,7 @@ COUNTS = {
     "RemoteSampler.sample": ("k", 1, _remote_reads),
     "estimate_argmin": ("k", 1, _argmin_reads),
     "MetropolisSampler.sweeps": ("sweeps", 1, lambda v: MetropolisSampler(sweeps=v).sweeps),
-    "check_instance_args.n": ("n", 1, lambda v: check_instance_args(v, 0.5, (-1.0, 1.0))),
+    "check_instance_args.n": ("n", 1, lambda v: check_instance_args(v, 0.5, (-1.0, 1.0))[0]),
     "ExperimentSpec.replicas": (
         "replicas", 1, lambda v: ExperimentSpec(n=2, replicas=v, backend="random").replicas
     ),
@@ -705,3 +719,78 @@ def test_every_count_follows_one_rule(site):
             count(bad)
     got = count(np.int64(least))
     assert type(got) is int and got == least
+
+
+_BIASED = WeightMatrix(np.ones((2, 2)), complete_graph(2))
+
+
+# site: (what, inputs, read), where read(value) builds with the value and returns
+# what it became; each input is valid at its site (no integer lies in (0, 0.5) or (0, 1))
+REALS = {
+    **{
+        f"QalsParams.{name}": (name, inputs, lambda v, name=name: getattr(QalsParams(**{name: v}), name))
+        for name, inputs in (
+            ("p_delta", (np.float32(0.25), Fraction(1, 4), 0.25)),
+            ("eta", (np.float32(0.25), Fraction(1, 4), 0.25)),
+            ("q", (np.float32(0.5), Fraction(1, 2), 1, 0.1)),
+            ("lambda0", (np.float32(0.5), Fraction(1, 2), 2, 0.1)),
+        )
+    },
+    "check_instance_args.density": (
+        "density", (np.float32(0.5), Fraction(1, 2), 1, 0.1),
+        lambda v: check_instance_args(2, v, (-1.0, 1.0))[1],
+    ),
+    "check_instance_args.coeff_range": (
+        "coefficient range bound", (np.float32(0.5), Fraction(1, 2), 1, 0.1),
+        lambda v: check_instance_args(2, 0.5, (-2.0, v))[2][1],
+    ),
+    "ExperimentSpec.density": (
+        "density", (np.float32(0.5), Fraction(1, 2), 1, 0.1),
+        lambda v: ExperimentSpec(n=2, density=v, backend="random").density,
+    ),
+    "ExperimentSpec.coeff_range": (
+        "coefficient range bound", (np.float32(0.5), Fraction(1, 2), 1, 0.1),
+        lambda v: ExperimentSpec(n=2, coeff_range=(-2.0, v), backend="random").coeff_range[1],
+    ),
+    # scale_to_ranges keeps no setting: its bound shows as the largest entry it
+    # scales the all-ones weights to
+    "scale_to_ranges.delta": (
+        "delta", (np.float32(0.5), Fraction(1, 2), 1, 0.5),
+        lambda v: scale_to_ranges(_BIASED, v, 1.0).biases.max().item(),
+    ),
+    "scale_to_ranges.gamma": (
+        "gamma", (np.float32(0.5), Fraction(1, 2), 1, 0.5),
+        lambda v: scale_to_ranges(_BIASED, 1.0, v).theta[0, 1].item(),
+    ),
+    "RemoteSampler.timeout": (
+        "timeout", (np.float32(0.5), Fraction(1, 2), 1, 0.1),
+        lambda v: RemoteSampler("http://service.invalid", timeout=v).timeout,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", REALS)
+def test_every_real_follows_one_rule(site):
+    what, inputs, read = REALS[site]
+    for value in inputs:
+        got = read(value)
+        assert type(got) is float and got == float(value)
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {bad!r} is not a real number')}$"):
+            read(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} 1000+ is too large for a float$"):
+        read(10**400)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("p_delta", np.float32(0.1)), ("lambda0", np.float32(1.0)), ("lambda0", Fraction(1))],
+    ids=["p_delta float32", "lambda0 float32", "lambda0 Fraction"],
+)
+def test_a_traced_solve_with_a_numpy_or_rational_setting_serializes(name, value):
+    problem = QuboProblem(np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 2.0], [-1.0, 2.0, 0.5]]))
+    params = QalsParams(**{name: value}, i_max=30, seed=2)
+    report = solve(problem, complete_graph(3), RandomSampler(), params, record_trace=True)
+    trace = json.loads(solve_report_to_json(report))["trace"]
+    assert len(trace) == report.iterations
+    assert all(type(row["p"]) is float and type(row["lam"]) is float for row in report.trace)

@@ -289,8 +289,9 @@ BAD_INSTANCE_ARGS = [
     ((4, 0.5, (0.0, float("inf"))), "too wide for n = 4"),
     ((4, 0.5, (-float("inf"), 0.0)), "too wide for n = 4"),
     ((4, 0.5, (-1e308, 1e308)), "too wide for n = 4"),
-    ((3, 0.5, (0, 10**400)), "too wide for n = 3"),  # an integer width beyond a float
-    ((3, 0.5, (10**400, 10**400 + 1)), "too wide for n = 3"),  # bounds beyond a float
+    # an integer bound beyond a float breaks the real rule before any width is formed
+    ((3, 0.5, (0, 10**400)), "coefficient range bound 1000+ is too large for a float"),
+    ((3, 0.5, (10**400, 10**400 + 1)), "coefficient range bound 1000+ is too large for a float"),
     ((4, "0.5", (-1.0, 1.0)), "density '0.5' is not a real number"),
     ((4, True, (-1.0, 1.0)), "density True is not a real number"),
     ((4, 0.5, ("a", "b")), "coefficient range bound 'a' is not a real number"),

@@ -30,7 +30,6 @@ from qals import (
     tabu_init,
     tabu_update,
 )
-from qals.core import identity_permutation
 from qals.fileio import solve_report_to_json
 from qals.solver import (
     _named_streams,
@@ -52,8 +51,8 @@ def literal_solve(problem, graph, sampler, params):
         theta = encode(coefficients, sigma, graph)
         return decode(estimate_argmin(sampler, theta, params.k, samp), sigma)
 
-    sigma1 = modify_permutation(identity_permutation(n), 1.0, perm)
-    sigma2 = modify_permutation(identity_permutation(n), 1.0, perm)
+    sigma1 = modify_permutation(np.arange(n), 1.0, perm)
+    sigma2 = modify_permutation(np.arange(n), 1.0, perm)
     z1, z2 = anneal(problem.q, sigma1), anneal(problem.q, sigma2)
     f1, f2 = objective(problem, z1), objective(problem, z2)
     if f1 < f2:

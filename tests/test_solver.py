@@ -27,7 +27,7 @@ from qals import (
     tabu_init,
     tabu_update,
 )
-from qals.core import identity_permutation, is_permutation
+from qals.core import is_permutation
 from qals.solver import (
     _named_streams,
     accept_suboptimal,
@@ -54,7 +54,7 @@ def test_modify_permutation_single_element():
 
 def test_modify_permutation_always_valid():
     rng = np.random.default_rng(4)
-    sigma = identity_permutation(8)
+    sigma = np.arange(8)
     for _ in range(200):
         sigma = modify_permutation(sigma, float(rng.random()), rng)
         assert is_permutation(sigma)
@@ -296,7 +296,7 @@ def test_solve_toy_tabu_sequence_replay():
     params = QalsParams(i_max=1, q=1e-12, seed=13)
     # replay the permutation substream to aim the scripted samples
     perm = _named_streams(params.seed)["permutation"]
-    ident = identity_permutation(3)
+    ident = np.arange(3)
     sigma1 = modify_permutation(ident, 1.0, perm)
     sigma2 = modify_permutation(ident, 1.0, perm)
     p_first = update_p(1.0, params.p_delta, params.eta)
@@ -372,8 +372,8 @@ def test_solve_tabu_grows_only_on_improvement():
     sampler = ExactSampler()
     from qals import encode, estimate_argmin
 
-    sigma1 = modify_permutation(identity_permutation(5), 1.0, streams["permutation"])
-    sigma2 = modify_permutation(identity_permutation(5), 1.0, streams["permutation"])
+    sigma1 = modify_permutation(np.arange(5), 1.0, streams["permutation"])
+    sigma2 = modify_permutation(np.arange(5), 1.0, streams["permutation"])
     z1 = decode(estimate_argmin(sampler, encode(problem.q, sigma1, graph), params.k, streams["sampler"]), sigma1)
     z2 = decode(estimate_argmin(sampler, encode(problem.q, sigma2, graph), params.k, streams["sampler"]), sigma2)
     seeded = 1 if objective(problem, z1) != objective(problem, z2) else 0
