@@ -106,15 +106,22 @@ class WeightMatrix:
     The public constructor checks it on a read-only copy of ``theta``.
     ``_trusted`` skips the checks and marks ``theta`` and ``placement``
     read-only; it is only for code that makes the invariant true itself:
-    ``_place``, ``scale_to_ranges`` (which checks its own sum) and
-    ``__reduce__``, so copies and pickles stay read-only.
+    ``scale_to_ranges`` (which checks its own sum) and ``__reduce__``, so
+    copies and pickles stay read-only.
+
+    ``_place`` (and so ``encode``) builds ``theta`` lazily: it records the
+    coefficient array and sigma, neither of which may be written afterwards,
+    and ``theta`` is placed on its first read (``theta`` itself, ``biases``,
+    equality, repr, a copy or a pickle). A copy or a pickle is built by
+    ``_trusted`` and so is eager, as is every instance of the constructor or
+    of ``_trusted``.
 
     ``placement`` is the sigma these weights were encoded under (qubit
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
     Only ``_place`` sets it, and ``scale_to_ranges`` and copies carry it
     over; the public constructor always leaves it None. ``ExactSampler``
-    reads it to recognise a one-state landscape it has already enumerated
-    under another placement.
+    reads the weights in the logical frame, ``_logical()``, to recognise a
+    one-state landscape it has already enumerated under another placement.
     """
 
     theta: np.ndarray
@@ -153,6 +160,45 @@ class WeightMatrix:
     def biases(self) -> np.ndarray:
         return np.diagonal(self.theta)
 
+    def _logical(self) -> np.ndarray:
+        """The weights in the logical frame, ``theta[sigma][:, sigma]`` with sigma
+        ``placement`` (``theta`` itself when that is None), not to be written. On a
+        complete graph, weights from ``_place`` return the coefficients it was handed
+        and leave ``theta`` unbuilt: no mask applies there, so they have the bits
+        of the pull-back."""
+        sigma = self.placement
+        if sigma is None:
+            return self.theta
+        coeffs = vars(self).get("_coeffs")
+        if coeffs is not None and _is_complete(self.graph):
+            return coeffs
+        return self.theta.take(sigma, 0).take(sigma, 1)
+
+
+class _PlacedOnFirstRead:
+    """``WeightMatrix.theta`` of an instance that holds none yet, one from ``_place``.
+
+    A non-data descriptor: an instance's own ``theta`` wins over it, so every
+    other read costs what a plain attribute does. The first read places the
+    coefficients ``_place`` recorded, by the scatter and mask multiply its
+    docstring states, and keeps the read-only result on the instance.
+    """
+
+    def __get__(self, w, owner=None):
+        if w is None:
+            return self
+        n, sigma = w.graph.n, w.placement
+        theta = np.empty((n, n), dtype=np.float64)  # every entry is written below
+        theta[sigma[:, None], sigma] = w._coeffs
+        if not _is_complete(w.graph):
+            theta *= w.graph.adjacency_mask
+        theta.setflags(write=False)
+        object.__setattr__(w, "theta", theta)
+        return theta
+
+
+WeightMatrix.theta = _PlacedOnFirstRead()  # set after @dataclass, which would read it as a default
+
 
 @dataclass(frozen=True)
 class TabuMatrix:
@@ -163,8 +209,9 @@ class TabuMatrix:
     all of that (``m`` a non-negative integer below 2**63, ``s`` a square, symmetric
     array of an integer dtype) and keeps a read-only int64 copy of ``s``;
     copies and pickles are rebuilt through it. ``_trusted`` skips the check
-    and is only for ``_fold`` (``tabu_init``, ``tabu_update``), whose result
-    is the sum of a tabu matrix and one more candidate's term.
+    and is only for ``zeros`` (m = 0, every entry 0) and ``_fold``
+    (``tabu_init``, ``tabu_update``), whose result is the sum of a tabu
+    matrix and one more candidate's term.
     """
 
     s: np.ndarray
@@ -206,7 +253,7 @@ class TabuMatrix:
 
     @classmethod
     def zeros(cls, n: int) -> "TabuMatrix":
-        return cls(np.zeros((n, n), dtype=np.int64), m=0)
+        return cls._trusted(np.zeros((n, n), dtype=np.int64), 0)
 
 
 @dataclass(frozen=True)
@@ -366,9 +413,11 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
 
     This is the checked boundary: ``qprime`` must be (n, n), finite and
     symmetric (off-edge entries included), with ``sum|qprime|`` within the
-    weight bound, and ``sigma`` a permutation of the nodes. The result
-    records a read-only copy of ``sigma`` as its ``placement``, so a later
-    write into the caller's array does not reach it.
+    weight bound, and ``sigma`` a permutation of the nodes. The result keeps
+    read-only copies of both, ``sigma``'s as its ``placement``, so a later
+    write into the caller's arrays does not reach it: the copies are what
+    ``_place`` is handed and must not be written, and ``theta`` is placed
+    from them on first read.
     """
     n = graph.n
     qprime = _checked_symmetric(qprime, "coefficient matrix", "sum|coefficients|", n)
@@ -378,26 +427,35 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     return _place(qprime, sigma.copy(), graph)
 
 
+def _is_complete(graph: TopologyGraph) -> bool:
+    """Whether every pair of nodes is an edge, so that the mask is all True."""
+    return 2 * graph.num_edges >= graph.n * (graph.n - 1)
+
+
 def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> WeightMatrix:
     """``encode`` without its checks, for callers whose inputs already hold them.
 
-    ``qprime`` must be a finite, exactly symmetric (n, n) array with
+    ``qprime`` must be a finite, exactly symmetric float64 (n, n) array with
     ``sum|qprime| <= _WEIGHT_SUM_LIMIT``, and ``sigma`` an integer
-    permutation of the n nodes. The result is built without
-    ``WeightMatrix``'s checks, because they hold by construction: placing a
-    symmetric matrix under a permutation keeps it symmetric and finite and
-    its sum, and the multiply by the mask zeroes every coupling outside the
-    edge set (the mask is True off the diagonal exactly on the edges), which
-    can only shrink the sum. The multiply runs only when the graph lacks an
-    edge: on a complete graph it is the identity, bit for bit, and skipping
-    it also skips the mask's cast to float64.
+    permutation of the n nodes. Neither may be written afterwards: the
+    result records both and places ``theta`` only when something reads it
+    (``WeightMatrix``), and ``_logical()`` returns ``qprime`` itself on a
+    complete graph. The result is built without ``WeightMatrix``'s checks,
+    because they hold by construction: placing a symmetric matrix under a
+    permutation, ``theta[sigma[:, None], sigma] = qprime``, keeps it
+    symmetric and finite and its sum, and the multiply by the mask zeroes
+    every coupling outside the edge set (the mask is True off the diagonal
+    exactly on the edges), which can only shrink the sum. The multiply runs
+    only when the graph lacks an edge: on a complete graph it is the
+    identity, bit for bit, and skipping it also skips the mask's cast to
+    float64.
     """
-    n = graph.n
-    theta = np.empty((n, n), dtype=np.float64)  # every entry is written below
-    theta[sigma[:, None], sigma] = qprime
-    if 2 * graph.num_edges < n * (n - 1):
-        theta *= graph.adjacency_mask
-    return WeightMatrix._trusted(theta, graph, sigma)
+    sigma.setflags(write=False)
+    out = WeightMatrix.__new__(WeightMatrix)
+    object.__setattr__(out, "graph", graph)
+    object.__setattr__(out, "placement", sigma)
+    object.__setattr__(out, "_coeffs", qprime)
+    return out
 
 
 def decode(y: np.ndarray, sigma: np.ndarray) -> np.ndarray:

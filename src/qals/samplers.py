@@ -21,7 +21,7 @@ from .core import _WEIGHT_SUM_LIMIT, SPIN_DTYPE, WeightMatrix, _checked_spins, _
 from .topology import _integer, _real
 
 ENUMERATION_LIMIT = 24
-_BLOCK_BITS = 18  # states per enumeration block: 2**18
+_BLOCK_BITS = 16  # states per enumeration block: 2**16
 
 
 class SamplerError(Exception):
@@ -164,8 +164,8 @@ class ExactSampler:
     """Oracle backend: every sample is a true minimizer of the landscape.
 
     It keeps its last one-state landscape, so a call that sees the same
-    pulled-back weights under another placement skips the enumeration (see
-    ``sample``).
+    weights in the logical frame under another placement skips the
+    enumeration (see ``sample``).
     """
 
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -178,13 +178,17 @@ class ExactSampler:
         several states the k rows are drawn with one ``rng.integers(0, count,
         size=k)`` call. A one-state set is returned as k copies without drawing from
         the rng, and it is cached: its n logical spins, keyed by the bytes of
-        the weights pulled back to the logical frame,
+        the weights in the logical frame, ``theta._logical()``, which is
         ``theta.theta[np.ix_(sigma, sigma)]`` with sigma ``theta.placement``
-        (the identity when None). A call whose pulled-back weights have the
+        (the identity when None). A call whose logical weights have the
         same bytes (on a complete graph, the same coefficients under any
         placement) places the cached spins, ``row[sigma] = spins``, without
-        enumerating. So the result is a function of the weights, sigma and
-        the rng alone, and always a fresh, writable ``(k, n)`` array. Weights
+        enumerating; it reads ``theta.theta`` only on a miss, so a hit on
+        weights from ``core._place`` over a complete graph never builds the
+        qubit-frame array: its key is then read from the coefficient array
+        ``_place`` was handed, which must not be written afterwards. So the
+        result is a function of the weights, sigma and the rng alone, and
+        always a fresh, writable ``(k, n)`` array. Weights
         that differ only in the sign of a zero re-enumerate, to the same rows.
         A call holds what ``enumerate_minima`` holds; between calls the
         sampler keeps 8 n**2 bytes of key and n bytes of spins.
@@ -193,8 +197,7 @@ class ExactSampler:
         k = _integer(k, "k", 1)
         n = theta.n
         sigma = np.arange(n) if theta.placement is None else theta.placement
-        logical = theta.theta.take(sigma, 0).take(sigma, 1)
-        key = logical.tobytes()  # 8 n**2 bytes: equal keys have equal n
+        key = theta._logical().tobytes()  # 8 n**2 bytes: equal keys have equal n
         if self._last is None or self._last[0] != key:
             found = enumerate_minima(theta.theta)
             if found.size > 1:

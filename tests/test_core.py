@@ -308,6 +308,25 @@ def test_tabu_matrix_keeps_a_read_only_copy(rebuild):
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TabuMatrix.zeros(1),
+        lambda: TabuMatrix.zeros(6),
+        lambda: tabu_init(np.array([1, -1, 1])),
+        lambda: tabu_update(tabu_init(np.array([1, -1, 1])), np.array([-1, -1, 1])),
+    ],
+    ids=["zeros 1", "zeros 6", "tabu_init", "tabu_update"],
+)
+def test_unchecked_tabu_matrices_keep_the_invariant(make):
+    tabu = make()
+    checked = TabuMatrix(tabu.s, tabu.m)
+    np.testing.assert_array_equal(checked.s, tabu.s)
+    assert tabu.s.dtype == np.int64 and type(tabu.m) is int
+    with pytest.raises(ValueError, match="read-only"):
+        tabu.s[0, 0] = 1
+
+
+@pytest.mark.parametrize(
     "make, name, value",
     [
         (lambda: QalsParams(i_max=5), "eta", 5.0),  # solve then failed in accept_suboptimal
@@ -515,6 +534,33 @@ def test_trusted_placement_matches_encode(graph):
         assert checked.placement is not sigma and not checked.placement.flags.writeable
         np.testing.assert_array_equal(checked.placement, sigma)
         WeightMatrix(placed.theta, graph)  # the unchecked result passes the public checks
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), chimera_graph(1)], ids=["complete", "chimera1"])
+@pytest.mark.parametrize(
+    "rebuild",
+    [copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w)), lambda w: scale_to_ranges(w, 0.5, 0.25)],
+    ids=["deepcopy", "pickle", "scale_to_ranges"],
+)
+def test_an_unbuilt_placement_rebuilds_to_the_eager_bytes(graph, rebuild):
+    rng = np.random.default_rng(33)
+    n = graph.n
+    q = rng.uniform(-1.0, 1.0, size=(n, n))
+    coeffs = q + q.T
+    sigma = rng.permutation(n)
+    eager = np.empty((n, n))
+    eager[sigma[:, None], sigma] = coeffs
+    eager *= graph.adjacency_mask
+    reference = rebuild(WeightMatrix._trusted(eager, graph, sigma.copy()))
+    lazy = _place(coeffs, sigma, graph)
+    assert "theta" not in vars(lazy)
+    made = rebuild(lazy)
+    assert "theta" in vars(made) and "_coeffs" not in vars(made)  # eager
+    assert made.theta.tobytes() == reference.theta.tobytes()
+    np.testing.assert_array_equal(made.placement, sigma)
+    for array in (made.theta, made.placement):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_encoding_invariance_on_complete_graph():

@@ -5,7 +5,8 @@ without ``WeightMatrix``'s or ``TabuMatrix``'s checks. Each property passes
 those results back through the public constructor, which must accept them;
 ``tabu_update`` gets candidates of any dtype and shape, which the spin rule
 rejects or folds. Placement gives the bits of a float64 mask multiply, on
-every graph, the complete ones included.
+every graph, the complete ones included, and the weights in the logical
+frame have the bits of the pull-back, whether or not ``theta`` is built.
 Under a gauge ``g`` in {-1,+1}^n the enumerator, the exact sampler, range
 scaling and the tabu fold are equivariant, bit for bit.
 Every weight matrix those makers accept, up to the weight bound, gives every
@@ -133,8 +134,23 @@ def test_placement_has_the_bits_of_a_float_mask_multiply(data):
     placed = np.empty((n, n))
     placed[sigma[:, None], sigma] = q
     theta = _place(q, sigma.copy(), graph)
+    assert "theta" not in vars(theta)  # placed on the first read, below
     assert theta.theta.tobytes() == (placed * graph.adjacency_mask.astype(np.float64)).tobytes()
     np.testing.assert_array_equal(theta.placement, sigma)
+
+
+@given(st.data())
+def test_the_logical_weights_have_the_bits_of_the_pull_back(data):
+    graph = data.draw(placement_graphs())
+    n = graph.n
+    q = symmetric(data.draw, n)  # signed zeros included
+    dtype = data.draw(st.sampled_from([np.int8, np.uint8, np.int16, np.int64]))
+    sigma = np.array(data.draw(st.permutations(range(n))), dtype=dtype)
+    w = _place(q, sigma.copy(), graph)
+    unbuilt = w._logical().tobytes()  # read before theta is placed
+    pulled_back = w.theta.take(sigma, 0).take(sigma, 1).tobytes()
+    assert unbuilt == pulled_back
+    assert w._logical().tobytes() == pulled_back  # and after
 
 
 @given(st.data())

@@ -29,7 +29,7 @@ from qals import (
     scale_to_ranges,
     solve,
 )
-from qals.core import _checked_spins, energies
+from qals.core import _checked_spins, _place, energies
 
 from helpers import bad_spins
 
@@ -210,7 +210,7 @@ def test_enumeration_block_size_does_not_change_minimizers(make, monkeypatch):
         if make == "zero_bias":  # z and -z tie, in blocks far apart
             w = weights(w.theta - np.diag(w.biases), g)
     default = sam.enumerate_minima(w.theta)
-    for bits in (12, 5):  # blocks of four rows of the table, then of one row
+    for bits in (18, 12, 5):  # the old size of one 2**18 block, four rows, one row
         monkeypatch.setattr(sam, "_BLOCK_BITS", bits)
         np.testing.assert_array_equal(sam.enumerate_minima(w.theta), default)
     ms, emin = exact_minimizers(w)  # under blocks of one row
@@ -388,6 +388,32 @@ def test_exact_cache_hits_under_narrow_placements_match_a_fresh_sampler(dtype, m
                 rows = warm.sample(w, 7, got_rng)
                 np.testing.assert_array_equal(rows, ExactSampler().sample(w, 7, ref_rng))
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state, n
+
+
+def test_an_exact_hit_on_a_complete_graph_leaves_the_qubit_frame_unbuilt(monkeypatch):
+    calls = []
+    enumerate_minima = sam.enumerate_minima
+    monkeypatch.setattr(sam, "enumerate_minima", lambda w: calls.append(w) or enumerate_minima(w))
+    rng = np.random.default_rng(12)
+    n = 12
+    c = coefficients("float", n, rng)  # a unique minimizer
+    warm = ExactSampler()
+    warm.sample(_place(c, rng.permutation(n), complete_graph(n)), 4, rng)  # the miss
+    w = _place(c, rng.permutation(n), complete_graph(n))
+    rows = warm.sample(w, 4, np.random.default_rng(0))
+    assert len(calls) == 1 and "theta" not in vars(w)
+    np.testing.assert_array_equal(rows, ExactSampler().sample(w, 4, np.random.default_rng(0)))
+    assert len(calls) == 2 and "theta" in vars(w)  # a fresh sampler misses and builds it
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_enumeration_blocks_hold_at_most_2_to_the_16_states(n):
+    w = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, n))
+    first = 0
+    for start, t in sam._table_blocks(w + w.T):
+        assert start == first and t.size <= 1 << 16
+        first += t.size
+    assert first == 1 << n
 
 
 def test_exact_sampler_alternating_set_sizes_matches_fresh_samplers(monkeypatch):
