@@ -103,23 +103,18 @@ class WeightMatrix:
     _WEIGHT_SUM_LIMIT`` (so no energy is inf or NaN), and its couplings
     vanish wherever ``graph.adjacency_mask`` (the graph's bool array of
     n² bytes, derived from the edges) is False.
-    The public constructor checks it on a read-only copy of ``theta``.
-    ``_trusted`` skips the checks and marks ``theta`` and ``placement``
-    read-only; it is only for code that makes the invariant true itself:
-    ``scale_to_ranges`` (which checks its own sum) and ``__reduce__``, so
-    copies and pickles stay read-only.
 
-    ``_place`` (and so ``encode``) builds ``theta`` lazily: it records the
-    coefficient array and sigma, neither of which may be written afterwards,
-    and ``theta`` is placed on its first read (``theta`` itself, ``biases``,
-    equality, repr, a copy or a pickle). A copy or a pickle is built by
-    ``_trusted`` and so is eager, as is every instance of the constructor or
-    of ``_trusted``.
+    An instance has one of two origins. The public constructor checks the
+    invariant on a read-only copy of ``theta``; copies and pickles are
+    rebuilt through it. ``_place`` (and so ``encode``) makes it true by
+    construction and builds ``theta`` lazily: it records the read-only
+    coefficient array and sigma, and ``theta`` is placed on its first read
+    (``theta`` itself, ``biases``, equality, repr, a copy or a pickle).
 
     ``placement`` is the sigma these weights were encoded under (qubit
     ``placement[i]`` hosts logical variable ``i``), or None when unknown.
-    Only ``_place`` sets it, and ``scale_to_ranges`` and copies carry it
-    over; the public constructor always leaves it None. ``ExactSampler``
+    Only ``_place`` sets it; the constructor, and so every copy, pickle
+    and ``scale_to_ranges`` result, leaves it None. ``ExactSampler``
     reads the weights in the logical frame, ``_logical()``, to recognise a
     one-state landscape it has already enumerated under another placement.
     """
@@ -136,21 +131,7 @@ class WeightMatrix:
         object.__setattr__(self, "theta", theta)
 
     def __reduce__(self):
-        return WeightMatrix._trusted, (self.theta, self.graph, self.placement)
-
-    @classmethod
-    def _trusted(
-        cls, theta: np.ndarray, graph: TopologyGraph, placement: np.ndarray | None = None
-    ) -> "WeightMatrix":
-        """Wrap a float64 ``theta`` that already meets the invariant, unchecked, read-only."""
-        theta.setflags(write=False)  # once per iteration: cheaper than flags.writeable
-        if placement is not None:
-            placement.setflags(write=False)
-        out = cls.__new__(cls)
-        object.__setattr__(out, "theta", theta)
-        object.__setattr__(out, "graph", graph)
-        object.__setattr__(out, "placement", placement)
-        return out
+        return WeightMatrix, (self.theta, self.graph)
 
     @property
     def n(self) -> int:
@@ -169,9 +150,8 @@ class WeightMatrix:
         sigma = self.placement
         if sigma is None:
             return self.theta
-        coeffs = vars(self).get("_coeffs")
-        if coeffs is not None and _is_complete(self.graph):
-            return coeffs
+        if _is_complete(self.graph):
+            return self._coeffs
         return self.theta.take(sigma, 0).take(sigma, 1)
 
 
@@ -415,8 +395,7 @@ def encode(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     symmetric (off-edge entries included), with ``sum|qprime|`` within the
     weight bound, and ``sigma`` a permutation of the nodes. The result keeps
     read-only copies of both, ``sigma``'s as its ``placement``, so a later
-    write into the caller's arrays does not reach it: the copies are what
-    ``_place`` is handed and must not be written, and ``theta`` is placed
+    write into the caller's arrays does not reach it; ``theta`` is placed
     from them on first read.
     """
     n = graph.n
@@ -437,10 +416,10 @@ def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
 
     ``qprime`` must be a finite, exactly symmetric float64 (n, n) array with
     ``sum|qprime| <= _WEIGHT_SUM_LIMIT``, and ``sigma`` an integer
-    permutation of the n nodes. Neither may be written afterwards: the
-    result records both and places ``theta`` only when something reads it
-    (``WeightMatrix``), and ``_logical()`` returns ``qprime`` itself on a
-    complete graph. The result is built without ``WeightMatrix``'s checks,
+    permutation of the n nodes, neither a view of an array written later.
+    Both are made read-only in place: the result records both and places
+    ``theta`` only when something reads it (``WeightMatrix``), and
+    ``_logical()`` returns ``qprime`` itself on a complete graph. The result is built without ``WeightMatrix``'s checks,
     because they hold by construction: placing a symmetric matrix under a
     permutation, ``theta[sigma[:, None], sigma] = qprime``, keeps it
     symmetric and finite and its sum, and the multiply by the mask zeroes
@@ -450,6 +429,7 @@ def _place(qprime: np.ndarray, sigma: np.ndarray, graph: TopologyGraph) -> Weigh
     identity, bit for bit, and skipping it also skips the mask's cast to
     float64.
     """
+    qprime.setflags(write=False)  # once per iteration: cheaper than flags.writeable
     sigma.setflags(write=False)
     out = WeightMatrix.__new__(WeightMatrix)
     object.__setattr__(out, "graph", graph)

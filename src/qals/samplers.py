@@ -11,6 +11,7 @@ import functools
 import math
 import sys
 import threading
+import urllib.parse
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
@@ -185,10 +186,10 @@ class ExactSampler:
         placement) places the cached spins, ``row[sigma] = spins``, without
         enumerating; it reads ``theta.theta`` only on a miss, so a hit on
         weights from ``core._place`` over a complete graph never builds the
-        qubit-frame array: its key is then read from the coefficient array
-        ``_place`` was handed, which must not be written afterwards. So the
-        result is a function of the weights, sigma and the rng alone, and
-        always a fresh, writable ``(k, n)`` array. Weights
+        qubit-frame array: its key is then read from the read-only
+        coefficient array ``_place`` was handed. So the result is a function
+        of the weights, sigma and the rng alone, and always a fresh, writable
+        ``(k, n)`` array. Weights
         that differ only in the sign of a zero re-enumerate, to the same rows.
         A call holds what ``enumerate_minima`` holds; between calls the
         sampler keeps 8 n**2 bytes of key and n bytes of spins.
@@ -352,12 +353,12 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     into [-delta, delta] and the couplings into [-gamma, gamma]; an entry
     already inside keeps its bits.
 
-    The bounds must be positive finite reals; the result is built without
-    ``WeightMatrix``'s checks, because dividing a checked matrix by one positive
-    scalar and clipping it entrywise keeps it symmetric and zero off the edge
-    set, and every entry ends finite and within its bound. Only the weight
-    bound can break, as the ranges may be as wide as the largest float, so the
-    result is checked against it (``ValueError``, ``sum|weights| is ...``).
+    The bounds must be positive finite reals. The result is a checked
+    ``WeightMatrix`` with no placement. Dividing a checked matrix by one
+    positive scalar and clipping it entrywise keeps it symmetric and zero
+    off the edge set, and every entry ends finite and within its bound; only
+    the weight bound can break, as the ranges may be as wide as the largest
+    float (``ValueError``, ``sum|weights| is ...``).
     """
     delta, gamma = _real(delta, "delta"), _real(gamma, "gamma")
     if not (0 < delta < math.inf and 0 < gamma < math.inf):
@@ -378,8 +379,7 @@ def scale_to_ranges(theta: WeightMatrix, delta: float, gamma: float) -> WeightMa
     biases = np.clip(np.diagonal(scaled), -delta, delta)
     np.clip(scaled, -gamma, gamma, out=scaled)
     np.fill_diagonal(scaled, biases)
-    _weight_sum(scaled, "sum|weights|")
-    return WeightMatrix._trusted(scaled, theta.graph, theta.placement)
+    return WeightMatrix(scaled, theta.graph)
 
 
 def estimate_argmin(
@@ -414,7 +414,9 @@ class RemoteSampler:
     failures surface immediately, so ``timeout``, in seconds per request, must
     be a real number (not a bool, a string or None) with ``0 < timeout <=
     threading.TIMEOUT_MAX``, the longest wait Python can time, else
-    ``ValueError`` from the constructor; it is kept as a float. Its own errors:
+    ``ValueError`` from the constructor; it is kept as a float. ``endpoint``
+    must be an ``http`` or ``https`` URL with a host and, if it gives one, a
+    port number, else ``ValueError`` from the constructor. Its own errors:
     any ``OSError`` from the transport (``requests.RequestException`` is one)
     ``TransportError``; bad status, JSON, energies or ``/info``
     (``max_nodes`` >= 1) ``MalformedResponseError``. ``requests`` is imported
@@ -426,6 +428,13 @@ class RemoteSampler:
         timeout = _real(timeout, "timeout")
         if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail here
             raise ValueError(f"timeout {timeout!r} is not in (0, {threading.TIMEOUT_MAX}] seconds")
+        url = urllib.parse.urlsplit(endpoint)
+        try:
+            url.port  # raises on a port that is not a number in [0, 65535]
+        except ValueError as exc:
+            raise ValueError(f"remote endpoint {endpoint!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"remote endpoint {endpoint!r} is not an http or https URL with a host")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
         self._info = None

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qals import ExactSampler, QalsParams, cli, complete_graph, solve
+from qals import ExactSampler, QalsParams, cli, complete_graph, harness, solve
 from qals.cli import main
 from qals.fileio import parse_experiment_config, parse_qubo_file, solve_report_to_json
 
@@ -190,6 +190,25 @@ def test_unknown_sampler_exits_one(pair_file, capsys):
 def test_unreachable_remote_exits_two(pair_file, capsys):
     assert main(["solve", pair_file, "--sampler", "remote:http://127.0.0.1:1"]) == 2
     assert "sampler error" in capsys.readouterr().err
+
+
+MALFORMED_REMOTES = ["remote:", "remote:localhost:9", "remote:ftp://x", "remote:http://"]
+
+
+@pytest.mark.parametrize("selector", MALFORMED_REMOTES)
+def test_a_malformed_remote_endpoint_exits_one_before_any_request(
+    selector, pair_file, tmp_path, capsys, monkeypatch
+):
+    import requests
+
+    monkeypatch.setattr(requests, "Session", lambda: pytest.fail("a session was opened"))
+    monkeypatch.setattr(harness, "solve", lambda *args: pytest.fail("a replica was run"))
+    assert main(["solve", pair_file, "--sampler", selector]) == 1
+    assert capsys.readouterr().err.startswith(f"qals: error: remote endpoint {selector[7:]!r}")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n = 4\nreplicas = 1\nbackend = {selector}\n")
+    assert main(["bench", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"qals: error: remote endpoint {selector[7:]!r}")
 
 
 def test_capacity_error_exits_two(tmp_path, capsys):

@@ -167,13 +167,11 @@ def test_weights_are_read_only_wherever_they_are_made(rebuild):
         if w.placement is not None:
             with pytest.raises(ValueError, match="read-only"):
                 w.placement[1] = 5
-    for w in made:
+    for w in made:  # a copy is rebuilt through the constructor, which sets no placement
         twin = rebuild(w)
-        np.testing.assert_array_equal(twin.theta, w.theta)
-        assert twin.graph == w.graph
-    assert rebuild(public).placement is None
-    for w in made[1:]:  # the placement a copy carries is the one the weights were encoded under
-        np.testing.assert_array_equal(rebuild(w).placement, sigma)
+        assert twin.theta.tobytes() == w.theta.tobytes()
+        assert twin.graph == w.graph and twin.placement is None
+    assert made[2].placement is None  # scale_to_ranges returns checked weights too
 
 
 def test_a_write_into_the_callers_sigma_does_not_reach_encoded_weights():
@@ -551,16 +549,55 @@ def test_an_unbuilt_placement_rebuilds_to_the_eager_bytes(graph, rebuild):
     eager = np.empty((n, n))
     eager[sigma[:, None], sigma] = coeffs
     eager *= graph.adjacency_mask
-    reference = rebuild(WeightMatrix._trusted(eager, graph, sigma.copy()))
+    reference = rebuild(WeightMatrix(eager, graph))
     lazy = _place(coeffs, sigma, graph)
     assert "theta" not in vars(lazy)
     made = rebuild(lazy)
     assert "theta" in vars(made) and "_coeffs" not in vars(made)  # eager
     assert made.theta.tobytes() == reference.theta.tobytes()
-    np.testing.assert_array_equal(made.placement, sigma)
-    for array in (made.theta, made.placement):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+    assert made.placement is None  # built by the constructor
+    with pytest.raises(ValueError, match="read-only"):
+        made.theta[0] = 0
+
+
+def test_place_makes_the_coefficients_it_records_read_only():
+    # on a complete graph _logical() hands a backend the very array _place was given
+    fresh = np.eye(4)
+    w = _place(fresh, np.array([3, 1, 0, 2]), complete_graph(4))
+    with pytest.raises(ValueError, match="read-only"):
+        w._logical()[0, 1] = 5.0
+
+
+def _with_entry(a, index, value):
+    a = np.array(a)
+    a[index] = value
+    return a
+
+
+# every frozen type that holds arrays, and a payload its constructor must refuse
+COPY_RULE = {
+    "problem": (lambda: QuboProblem(np.eye(3)), lambda q: (_with_entry(q, (0, 1), 1.0),)),
+    "graph": (lambda: TopologyGraph(3, [(0, 1)]), lambda n, edges: (n, edges | {(1, 3)})),
+    "tabu": (lambda: tabu_init(np.array([1, -1, 1])), lambda s, m: (_with_entry(s, (0, 0), 0), m)),
+    "public weights": (
+        lambda: WeightMatrix(np.eye(3), complete_graph(3)),
+        lambda theta, g: (_with_entry(theta, (0, 1), 1.0), g),
+    ),
+    "placed weights": (
+        lambda: _place(np.eye(3), np.array([2, 0, 1]), complete_graph(3)),
+        lambda theta, g: (_with_entry(theta, (0, 1), 1.0), g),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, tamper", COPY_RULE.values(), ids=COPY_RULE.keys())
+def test_copies_and_pickles_are_rebuilt_through_the_checked_constructor(make, tamper):
+    value = make()
+    rebuild, payload = value.__reduce__()
+    assert rebuild is type(value)
+    assert pickle.dumps(rebuild(*payload)) == pickle.dumps(value)  # == compares arrays elementwise
+    with pytest.raises(ValueError):  # an asymmetric matrix, an entry off the parity, a bad edge
+        rebuild(*tamper(*payload))
 
 
 def test_encoding_invariance_on_complete_graph():

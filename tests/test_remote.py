@@ -246,6 +246,13 @@ def test_a_bad_timeout_is_rejected_by_the_constructor(timeout):
         RemoteSampler("http://127.0.0.1:1", timeout=timeout)
 
 
+@pytest.mark.parametrize("endpoint", ["http://127.0.0.1:x", "http://127.0.0.1:65536"])
+def test_an_endpoint_with_an_unreadable_port_is_rejected_by_the_constructor(endpoint):
+    # the other malformed endpoints are rejected through the CLI in test_cli.py
+    with pytest.raises(ValueError, match="remote endpoint"):
+        RemoteSampler(endpoint)
+
+
 def test_a_timeout_is_kept_as_a_float():
     for timeout in (Fraction(1, 2), np.float64(0.5), threading.TIMEOUT_MAX):
         kept = RemoteSampler("http://127.0.0.1:1", timeout=timeout).timeout

@@ -487,7 +487,7 @@ def test_placement_is_recorded_by_encode_only():
     assert WeightMatrix(c, g).placement is None
     w = encode(c, sigma, g)
     np.testing.assert_array_equal(w.placement, sigma)
-    np.testing.assert_array_equal(scale_to_ranges(w, 0.5, 0.5).placement, sigma)
+    assert scale_to_ranges(w, 0.5, 0.5).placement is None  # a checked result
     with pytest.raises(TypeError):
         WeightMatrix(c, g, placement=sigma)
 
